@@ -36,6 +36,7 @@ from .groups import (
     irreps,
     load_group_document,
     regular_rep,
+    rep_deviations,
     semi_regular_rep,
 )
 from .lattice import (
@@ -48,10 +49,12 @@ from .lattice import (
     contract_isometric_state,
     decompress_state,
     ground_projector,
+    ground_projectors,
     load_state,
     partial_peps_state,
     projector_from_columns,
     save_state,
+    twisted_states,
 )
 from .protocol import (
     FailureCurve,
@@ -59,11 +62,10 @@ from .protocol import (
     ProtocolConfig,
     ProtocolTrace,
     analytic_pfail,
+    curve_from_spectrum,
     estimate_repetitions,
-    failure_curve,
     pfail_bound,
     prepare_protocol,
-    run_many,
     run_protocol,
 )
 from .spectral import (

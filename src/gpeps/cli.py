@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -31,15 +32,11 @@ from .groups import (
     delta_map,
     load_group_document,
     regular_rep,
+    rep_deviations,
     semi_regular_rep,
     trace_identity_deviation,
 )
-from .lattice import (
-    BoundaryTwist,
-    TorusLattice,
-    contract_isometric_state,
-    ground_projector,
-)
+from .lattice import TorusLattice, ground_projector, ground_projectors, twisted_states
 from .protocol import (
     ProtocolConfig,
     aggregate_step_stats,
@@ -96,8 +93,17 @@ def _resolve_lattice(cfg: Mapping) -> TorusLattice:
         raise ConfigError(f"bad lattice spec {lat!r}: {exc}") from exc
 
 
+def _resolve_step(cfg: Mapping, lattice: TorusLattice) -> int:
+    step = int(cfg.get("step", 0))
+    if not 0 <= step < lattice.n_vertices:
+        raise ConfigError(f"step must lie in [0, {lattice.n_vertices - 1}], got {step}")
+    return step
+
+
 def _resolve_deformations(cfg: Mapping, tensor, n_vertices: int, seed: int):
     spec = cfg.get("deformations", {"mode": "identity"})
+    if not isinstance(spec, Mapping):
+        raise ConfigError(f"deformations must be an object with a 'mode', got {spec!r}")
     mode = spec.get("mode", "identity")
     if mode == "identity":
         return [identity_deformation(tensor, site=v) for v in range(n_vertices)]
@@ -115,9 +121,11 @@ def _resolve_deformations(cfg: Mapping, tensor, n_vertices: int, seed: int):
         path = spec.get("path")
         if not path:
             raise ConfigError("deformations mode 'file' needs a 'path'")
-        with open(path, encoding="utf-8") as fh:
-            docs = json.load(fh)
-        defs = [deformation_from_dict(doc) for doc in docs]
+        try:
+            with open(path, encoding="utf-8") as fh:
+                defs = [deformation_from_dict(doc) for doc in json.load(fh)]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot read deformations {path!r}: {exc}") from exc
         if len(defs) != n_vertices:
             raise ConfigError(f"file holds {len(defs)} deformations, need {n_vertices}")
         return defs
@@ -156,12 +164,7 @@ def cmd_verify_group(cfg: dict, args) -> int:
     delta = delta_map(rep)
     overrides = cfg.get("tolerances", {})
 
-    mats = rep.matrices
-    hom_dev = float(
-        np.abs(np.einsum("aij,bjk->abik", mats, mats) - mats[group.mult]).max()
-    )
-    eye = np.eye(rep.total_dim)
-    uni_dev = float(max(np.abs(m.conj().T @ m - eye).max() for m in mats))
+    hom_dev, uni_dev = rep_deviations(group, rep.matrices)
     completeness = sum(ir.dim**2 for ir in irs)
     char_dev = float(
         max(abs(np.sum(np.abs(ir.characters) ** 2) - group.order) for ir in irs)
@@ -233,12 +236,13 @@ def cmd_overlap(cfg: dict, args) -> int:
     group, rep = _resolve_group_rep(cfg)
     lattice = _resolve_lattice(cfg)
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    step = int(cfg.get("step", 0))
+    step = _resolve_step(cfg, lattice)
     tensor = build_site_tensor(rep)
     deformations = _resolve_deformations(cfg, tensor, lattice.n_vertices, seed)
 
-    p_t = ground_projector(lattice, rep, deformations, step, tensor=tensor)
-    p_next = ground_projector(lattice, rep, deformations, step + 1, tensor=tensor)
+    p_t, p_next = ground_projectors(
+        lattice, twisted_states(lattice, tensor), deformations, (step, step + 1)
+    )
     spectrum = jordan_decompose(p_t, p_next)
     kappa = deformations[step].kappa_sym
     report = verify_overlap_bound(spectrum, kappa)  # raises BoundViolation on failure
@@ -272,6 +276,8 @@ def cmd_simulate(cfg: dict, args) -> int:
     lattice = _resolve_lattice(cfg)
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
     trials = int(args.trials if args.trials is not None else cfg.get("trials", 100))
+    if trials < 0:
+        raise ConfigError(f"trials must be >= 0, got {trials}")
     epsilon = float(cfg.get("epsilon", 0.1))
     m_policy = cfg.get("m", "auto")
     tensor = build_site_tensor(rep)
@@ -279,7 +285,7 @@ def cmd_simulate(cfg: dict, args) -> int:
 
     config = ProtocolConfig(
         lattice=lattice,
-        rep=rep,
+        tensor=tensor,
         deformations=tuple(deformations),
         epsilon=epsilon,
         m_policy=m_policy if m_policy == "auto" else int(m_policy),
@@ -288,7 +294,7 @@ def cmd_simulate(cfg: dict, args) -> int:
     )
     prepared = prepare_protocol(config)
 
-    threads = max(1, int(args.threads))
+    threads = max(1, min(int(args.threads), trials, os.cpu_count() or 1))
     if threads == 1:
         traces = [run_protocol(prepared, trial=k) for k in range(trials)]
     else:
@@ -329,14 +335,15 @@ def cmd_sweep(cfg: dict, args) -> int:
     group, rep = _resolve_group_rep(cfg)
     lattice = _resolve_lattice(cfg)
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    step = int(cfg.get("step", 0))
+    step = _resolve_step(cfg, lattice)
     kappas = cfg.get("kappas", [1.0, 2.0, 4.0, 8.0])
+    if not isinstance(kappas, list) or not kappas:
+        raise ConfigError(f"kappas must be a non-empty list, got {kappas!r}")
     instances = int(cfg.get("instances", 3))
+    if instances < 1:
+        raise ConfigError(f"instances must be >= 1, got {instances}")
     tensor = build_site_tensor(rep)
-    twisted = {
-        (g, h): contract_isometric_state(lattice, rep, BoundaryTwist(g=g, h=h), tensor=tensor)
-        for (g, h) in group.commuting_pairs()
-    }
+    twisted = twisted_states(lattice, tensor)
     rows = []
     worst = np.inf
     for kappa in kappas:
@@ -346,10 +353,8 @@ def cmd_sweep(cfg: dict, args) -> int:
                 random_deformation(tensor, float(kappa), seed=inst_seed + v, site=v)
                 for v in range(lattice.n_vertices)
             ]
-            p_t = ground_projector(lattice, rep, deformations, step,
-                                   tensor=tensor, twisted_states=twisted)
-            p_next = ground_projector(lattice, rep, deformations, step + 1,
-                                      tensor=tensor, twisted_states=twisted)
+            p_t = ground_projector(lattice, twisted, deformations, step)
+            p_next = ground_projector(lattice, twisted, deformations, step + 1)
             spectrum = jordan_decompose(p_t, p_next)
             realized = deformations[step].kappa_sym
             margin = spectrum.d_min - realized**-2

@@ -94,9 +94,6 @@ class Irrep:
     dim: int
     matrices: np.ndarray  # (n, dim, dim) complex
 
-    def character(self, g: int) -> complex:
-        return complex(np.trace(self.matrices[g]))
-
     @property
     def characters(self) -> np.ndarray:
         return np.trace(self.matrices, axis1=1, axis2=2)
@@ -133,9 +130,6 @@ class SemiRegularRep:
     def multiplicities(self) -> dict[str, int]:
         return {irrep.label: r for irrep, r in self.blocks}
 
-    def unitary(self, g: int) -> np.ndarray:
-        return self.matrices[g]
-
 
 @dataclass(frozen=True, eq=False)
 class DeltaMap:
@@ -143,9 +137,6 @@ class DeltaMap:
 
     rep: SemiRegularRep
     weights: np.ndarray  # (D,) real positive
-
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.weights).astype(complex)
 
     @property
     def weights4(self) -> np.ndarray:
@@ -338,6 +329,24 @@ def _d4_irreps() -> list[Irrep]:
     return irreps
 
 
+def rep_deviations(group: GroupTable, matrices: np.ndarray) -> tuple[float, float]:
+    """Homomorphism and unitarity deviations of ``g -> matrices[g]``:
+    ``max |U_a U_b - U_ab|`` and ``max |U_g^dag U_g - 1|``."""
+    products = np.einsum("aij,bjk->abik", matrices, matrices)
+    hom = float(np.abs(products - matrices[group.mult]).max())
+    eye = np.eye(matrices.shape[1])
+    uni = float(max(np.abs(m.conj().T @ m - eye).max() for m in matrices))
+    return hom, uni
+
+
+def _require_unitary_rep(name: str, group: GroupTable, matrices: np.ndarray) -> None:
+    hom, uni = rep_deviations(group, matrices)
+    if hom > HOMOMORPHISM_TOL:
+        raise InvalidRepresentation(f"{name}: homomorphism deviation {hom:.3e}")
+    if uni > UNITARITY_TOL:
+        raise InvalidRepresentation(f"{name}: unitarity deviation {uni:.3e}")
+
+
 def validate_irrep(group: GroupTable, irrep: Irrep) -> None:
     """Check homomorphism, unitarity and irreducibility; raise on failure."""
     mats = irrep.matrices
@@ -347,21 +356,7 @@ def validate_irrep(group: GroupTable, irrep: Irrep) -> None:
             f"irrep {irrep.label!r}: matrices shaped {mats.shape}, "
             f"expected ({n}, {irrep.dim}, {irrep.dim})"
         )
-    products = np.einsum("aij,bjk->abik", mats, mats)
-    expected = mats[group.mult]
-    dev = np.abs(products - expected).max()
-    if dev > HOMOMORPHISM_TOL:
-        raise InvalidRepresentation(
-            f"irrep {irrep.label!r}: homomorphism deviation {dev:.3e}"
-        )
-    eye = np.eye(irrep.dim)
-    udev = max(
-        np.abs(m.conj().T @ m - eye).max() for m in mats
-    )
-    if udev > UNITARITY_TOL:
-        raise InvalidRepresentation(
-            f"irrep {irrep.label!r}: unitarity deviation {udev:.3e}"
-        )
+    _require_unitary_rep(f"irrep {irrep.label!r}", group, mats)
     char_norm = float(np.sum(np.abs(irrep.characters) ** 2))
     if abs(char_norm - n) > CHARACTER_TOL:
         raise InvalidRepresentation(
@@ -467,9 +462,8 @@ def semi_regular_rep(
         ).reshape(n, size, size)
         offset += size
     matrices.setflags(write=False)
-    rep = SemiRegularRep(group=group, blocks=blocks, total_dim=total, matrices=matrices)
-    _validate_rep(rep)
-    return rep
+    _require_unitary_rep("U_g", group, matrices)
+    return SemiRegularRep(group=group, blocks=blocks, total_dim=total, matrices=matrices)
 
 
 def regular_rep(group: GroupTable, irrep_list: Sequence[Irrep] | None = None) -> SemiRegularRep:
@@ -485,19 +479,6 @@ def regular_rep(group: GroupTable, irrep_list: Sequence[Irrep] | None = None) ->
             f"regular representation check failed (char deviation {dev:.3e})"
         )
     return rep
-
-
-def _validate_rep(rep: SemiRegularRep) -> None:
-    mats = rep.matrices
-    group = rep.group
-    products = np.einsum("aij,bjk->abik", mats, mats)
-    dev = np.abs(products - mats[group.mult]).max()
-    if dev > HOMOMORPHISM_TOL:
-        raise InvalidRepresentation(f"U_g homomorphism deviation {dev:.3e}")
-    eye = np.eye(rep.total_dim)
-    udev = max(np.abs(m.conj().T @ m - eye).max() for m in mats)
-    if udev > UNITARITY_TOL:
-        raise InvalidRepresentation(f"U_g unitarity deviation {udev:.3e}")
 
 
 def delta_map(rep: SemiRegularRep) -> DeltaMap:

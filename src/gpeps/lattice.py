@@ -18,18 +18,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .caps import max_amplitudes
-from .errors import DimensionOverflow, NonCommutingTwist, ZeroState
+from .errors import DimensionMismatch, DimensionOverflow, NonCommutingTwist, ZeroState
 from .groups import GroupTable, SemiRegularRep
-from .tensors import Deformation, SiteTensor, build_site_tensor, deformation_to_dict
+from .tensors import Deformation, SiteTensor, deformation_to_dict
 
 LEG_L, LEG_T, LEG_R, LEG_B = range(4)
-LEG_NAMES = ("l", "t", "r", "b")
 
 ZERO_STATE_TOL = 1e-14
 PROJECTOR_RANK_TOL = 1e-10
@@ -70,12 +70,6 @@ class TorusLattice:
     @property
     def n_vertices(self) -> int:
         return self.width * self.height
-
-    def vertex(self, row: int, col: int) -> int:
-        return (row % self.height) * self.width + (col % self.width)
-
-    def coords(self, v: int) -> tuple[int, int]:
-        return divmod(v, self.width)
 
 
 @dataclass(frozen=True)
@@ -165,32 +159,34 @@ def projector_from_columns(
 # contraction
 
 
+def _state_dim(lattice: TorusLattice, tensor: SiteTensor) -> int:
+    dim = tensor.sym_dim**lattice.n_vertices
+    if dim > max_amplitudes():
+        raise DimensionOverflow(f"state needs {dim} amplitudes (cap {max_amplitudes()})")
+    return dim
+
+
 def contract_isometric_state(
     lattice: TorusLattice,
-    rep: SemiRegularRep,
+    tensor: SiteTensor,
     twist: BoundaryTwist | None = None,
-    tensor: SiteTensor | None = None,
-    cap: int | None = None,
+    out: np.ndarray | None = None,
 ) -> StateVector:
     """Exact contraction of the group-symmetric PEPS with a boundary twist.
 
     Places maximally entangled bond pairs on every edge, inserts the twist
     unitaries on the bonds crossing the cuts, applies the compressed site
     map at every vertex and contracts the whole network in one einsum.
-    Deterministic for a fixed lattice, representation and twist.
+    Deterministic for a fixed lattice, site tensor and twist.  The
+    normalized amplitudes are written into ``out`` when it is given.
     """
+    rep = tensor.rep
     if twist is None:
         e = rep.group.identity
         twist = BoundaryTwist(g=e, h=e)
     validate_twist(rep.group, twist)
-    if tensor is None:
-        tensor = build_site_tensor(rep, cap=cap)
     n_sites = lattice.n_vertices
-    d = tensor.sym_dim
-    if d**n_sites > max_amplitudes(cap):
-        raise DimensionOverflow(
-            f"state needs {d**n_sites} amplitudes (cap {max_amplitudes(cap)})"
-        )
+    _state_dim(lattice, tensor)
 
     leg_tensor = tensor.leg_tensor()
     site_labels: list[list[int | None]] = [
@@ -222,90 +218,113 @@ def contract_isometric_state(
     for op, labels in extra_ops:
         operands.extend((op, labels))
     amplitudes = np.einsum(*operands, list(range(n_sites)), optimize="greedy").reshape(-1)
-    norm = np.linalg.norm(amplitudes)
-    if norm <= ZERO_STATE_TOL:
-        raise ZeroState("isometric contraction produced the zero vector")
-    return StateVector(lattice=lattice, site_dim=d, amplitudes=amplitudes / norm)
+    return StateVector(
+        lattice=lattice, site_dim=tensor.sym_dim, amplitudes=_normalized(amplitudes, 0, out=out)
+    )
 
 
-def _apply_site(arr: np.ndarray, n_sites: int, site_dim: int, site: int, matrix: np.ndarray) -> np.ndarray:
-    shaped = arr.reshape((site_dim,) * n_sites)
+def twisted_states(lattice: TorusLattice, tensor: SiteTensor) -> np.ndarray:
+    """Isometric states for every commuting twist, each contracted once.
+
+    Row ``k`` holds the amplitudes for the twist
+    ``tensor.rep.group.commuting_pairs()[k]``.  These rows are the twisted
+    columns that :func:`ground_projectors` advances.
+    """
+    pairs = tensor.rep.group.commuting_pairs()
+    columns = np.empty((len(pairs), _state_dim(lattice, tensor)), dtype=complex)
+    for k, (g, h) in enumerate(pairs):
+        contract_isometric_state(lattice, tensor, BoundaryTwist(g=g, h=h), out=columns[k])
+    return columns
+
+
+def _apply_site(arr: np.ndarray, n_sites: int, site: int, matrix: np.ndarray) -> np.ndarray:
+    """The per-column step: ``matrix`` on one site of a site-major vector."""
+    shaped = arr.reshape((matrix.shape[1],) * n_sites)
     out = np.tensordot(matrix, shaped, axes=([1], [site]))
     return np.moveaxis(out, 0, site).reshape(-1)
 
 
-def apply_site_operator(state: StateVector, site: int, matrix: np.ndarray) -> np.ndarray:
-    """Apply a (d, d) operator on one site; returns raw (unnormalized) amplitudes."""
-    return _apply_site(
-        state.amplitudes, state.lattice.n_vertices, state.site_dim, site, matrix
-    )
-
-
-def partial_peps_state(
-    lattice: TorusLattice,
-    rep: SemiRegularRep,
-    deformations: Sequence[Deformation],
-    twist: BoundaryTwist | None = None,
-    t: int | None = None,
-    tensor: SiteTensor | None = None,
-    base_state: StateVector | None = None,
-    cap: int | None = None,
-) -> StateVector:
-    """Twisted PEPS with deformations applied on vertices ``0 .. t-1``.
-
-    Vertex order is row-major from the top-left.  ``base_state`` can pass a
-    pre-contracted isometric state for the same twist to avoid recontraction.
-    """
-    if t is None:
-        t = len(deformations)
-    if t > lattice.n_vertices:
-        raise ValueError(f"t = {t} exceeds vertex count {lattice.n_vertices}")
-    if base_state is None:
-        base_state = contract_isometric_state(lattice, rep, twist, tensor=tensor, cap=cap)
-    arr = base_state.amplitudes
-    for v in range(t):
-        # list position is authoritative for the vertex order (row-major)
-        arr = _apply_site(arr, lattice.n_vertices, base_state.site_dim, v, deformations[v].matrix)
+def _normalized(arr: np.ndarray, t: int, out: np.ndarray | None = None) -> np.ndarray:
     norm = np.linalg.norm(arr)
     if norm <= ZERO_STATE_TOL:
         raise ZeroState(f"partial PEPS with t = {t} deformations is the zero vector")
-    return StateVector(lattice=lattice, site_dim=base_state.site_dim, amplitudes=arr / norm)
+    return np.divide(arr, norm, out=out)
 
 
-def ground_projector(
-    lattice: TorusLattice,
-    rep: SemiRegularRep,
+def apply_site_operator(state: StateVector, site: int, matrix: np.ndarray) -> np.ndarray:
+    """Apply a (d, d) operator on one site; returns raw (unnormalized) amplitudes."""
+    return _apply_site(state.amplitudes, state.lattice.n_vertices, site, matrix)
+
+
+def partial_peps_state(
+    base_state: StateVector,
     deformations: Sequence[Deformation],
-    t: int,
-    tensor: SiteTensor | None = None,
-    twisted_states: Mapping[tuple[int, int], StateVector] | None = None,
-    tol: float = PROJECTOR_RANK_TOL,
-    cap: int | None = None,
-) -> GroundProjector:
-    """Orthonormal basis of span{ partial PEPS over all commuting twists }.
+    t: int | None = None,
+) -> StateVector:
+    """Twisted PEPS with deformations applied on vertices ``0 .. t-1``.
+
+    ``base_state`` is the contracted isometric state of the twist.  Vertex
+    order is row-major from the top-left; the list position of a
+    deformation is its vertex.
+    """
+    lattice = base_state.lattice
+    if t is None:
+        t = len(deformations)
+    if not 0 <= t <= lattice.n_vertices:
+        raise ValueError(f"t = {t} outside [0, {lattice.n_vertices}]")
+    arr = base_state.amplitudes
+    for v in range(t):
+        arr = _apply_site(arr, lattice.n_vertices, v, deformations[v].matrix)
+    return StateVector(
+        lattice=lattice, site_dim=base_state.site_dim, amplitudes=_normalized(arr, t)
+    )
+
+
+def ground_projectors(
+    lattice: TorusLattice,
+    columns: np.ndarray,
+    deformations: Sequence[Deformation],
+    steps: Sequence[int],
+) -> list[GroundProjector]:
+    """Ground projectors ``P_t`` for the ascending ``steps``, from one pass.
+
+    ``P_t`` spans the twisted partial PEPS with deformations on vertices
+    ``0 .. t-1``.  Row ``k`` of ``columns`` starts as the ``k``-th state of
+    :func:`twisted_states`, and step ``t`` advances every row by one vertex
+    in place (``X_{t+1} = M_t X_t``).  The rows advance unnormalized and
+    are normalized only for the orthonormalization, so every column equals
+    its :func:`partial_peps_state` amplitudes bit for bit.  The last step
+    normalizes the rows in place, which spends ``columns``.
 
     Linear dependence among the twisted states ("over-spanning") is
     expected and absorbed by the rank-revealing orthogonalization.
     """
-    if tensor is None:
-        tensor = build_site_tensor(rep, cap=cap)
-    pairs = rep.group.commuting_pairs()
-    columns = np.empty((tensor.sym_dim**lattice.n_vertices, len(pairs)), dtype=complex)
-    for k, (g, h) in enumerate(pairs):
-        base = twisted_states.get((g, h)) if twisted_states is not None else None
-        state = partial_peps_state(
-            lattice,
-            rep,
-            deformations,
-            twist=BoundaryTwist(g=g, h=h),
-            t=t,
-            tensor=tensor,
-            base_state=base,
-            cap=cap,
-        )
-        columns[:, k] = state.amplitudes
-    projector = projector_from_columns(columns, step=t, tol=tol)
-    return projector
+    n_sites = lattice.n_vertices
+    last = steps[-1]
+    if steps[0] < 0 or last > n_sites:
+        raise ValueError(f"steps must lie in [0, {n_sites}], got {list(steps)}")
+    projectors = []
+    for t in range(last + 1):
+        if t:
+            matrix = deformations[t - 1].matrix
+            for k in range(len(columns)):
+                columns[k] = _apply_site(columns[k], n_sites, t - 1, matrix)
+        if t in steps:
+            normalized = columns if t == last else np.empty_like(columns)
+            for k in range(len(columns)):
+                _normalized(columns[k], t, out=normalized[k])
+            projectors.append(projector_from_columns(normalized.T, step=t))
+    return projectors
+
+
+def ground_projector(
+    lattice: TorusLattice,
+    twisted: np.ndarray,
+    deformations: Sequence[Deformation],
+    t: int,
+) -> GroundProjector:
+    """``P_t`` alone: :func:`ground_projectors` on a copy of ``twisted``."""
+    return ground_projectors(lattice, twisted.copy(), deformations, [t])[0]
 
 
 def decompress_state(state: StateVector, tensor: SiteTensor) -> np.ndarray:
@@ -370,12 +389,21 @@ def save_state(
 
 
 def load_state(base_path: str) -> StateVector:
+    """Read a state written by :func:`save_state`.
+
+    Raises :class:`DimensionMismatch` when the sidecar ``dim`` disagrees
+    with ``site_dim`` and the lattice, or with the size of the ``.bin``.
+    """
     with open(base_path + ".json", encoding="utf-8") as fh:
         sidecar = json.load(fh)
-    raw = np.fromfile(base_path + ".bin", dtype="<f8").view("<c16")
     lattice = TorusLattice.build(sidecar["lattice"]["width"], sidecar["lattice"]["height"])
-    return StateVector(
-        lattice=lattice,
-        site_dim=int(sidecar["site_dim"]),
-        amplitudes=raw.astype(complex),
-    )
+    site_dim, dim = int(sidecar["site_dim"]), int(sidecar["dim"])
+    if dim != site_dim**lattice.n_vertices:
+        raise DimensionMismatch(
+            f"sidecar dim {dim} != site_dim**N = {site_dim**lattice.n_vertices}"
+        )
+    size = os.path.getsize(base_path + ".bin")
+    if size != 16 * dim:
+        raise DimensionMismatch(f"{base_path}.bin holds {size} bytes, expected {16 * dim}")
+    raw = np.fromfile(base_path + ".bin", dtype="<f8").view("<c16")
+    return StateVector(lattice=lattice, site_dim=site_dim, amplitudes=raw.astype(complex))

@@ -32,19 +32,17 @@ from .errors import (
     StepExhausted,
     UnnormalizedWeights,
 )
-from .groups import SemiRegularRep
 from .lattice import (
-    BoundaryTwist,
     GroundProjector,
     StateVector,
     TorusLattice,
-    contract_isometric_state,
-    ground_projector,
+    ground_projectors,
     partial_peps_state,
     projector_from_columns,
+    twisted_states,
 )
 from .spectral import JordanSpectrum, born_measure, jordan_decompose
-from .tensors import Deformation, SiteTensor, build_site_tensor, condition_number_on_symmetric
+from .tensors import Deformation, SiteTensor, condition_number_on_symmetric
 
 WEIGHT_SUM_TOL = 1e-10
 SUCCESS_FIDELITY_TOL = 1e-8
@@ -54,10 +52,13 @@ CONTAINMENT_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class ProtocolConfig:
-    """Everything needed to replay a protocol run."""
+    """Everything needed to replay a protocol run.
+
+    The deformation matrices are written in ``tensor.sym_basis``.
+    """
 
     lattice: TorusLattice
-    rep: SemiRegularRep
+    tensor: SiteTensor
     deformations: tuple[Deformation, ...]
     epsilon: float
     m_policy: int | str = "auto"  # explicit per-step cap, or the repetition rule
@@ -109,7 +110,6 @@ class PreparedProtocol:
     """Projectors, spectra and the initial state shared by all trials."""
 
     config: ProtocolConfig
-    tensor: SiteTensor
     projectors: list[GroundProjector]
     spectra: list[JordanSpectrum]
     initial_state: StateVector
@@ -120,9 +120,6 @@ class PreparedProtocol:
     @property
     def n_steps(self) -> int:
         return self.config.lattice.n_vertices
-
-    def step_d_min(self, step_index: int) -> float:
-        return self.spectra[step_index].d_min
 
 
 def estimate_repetitions(n_vertices: int, kappa: float, epsilon: float) -> int:
@@ -179,27 +176,21 @@ def prepare_protocol(config: ProtocolConfig) -> PreparedProtocol:
         raise ValueError(
             f"need one deformation per vertex ({n}), got {len(config.deformations)}"
         )
-    tensor = build_site_tensor(config.rep)
+    tensor = config.tensor
     kappas = [
         condition_number_on_symmetric(deformation, tensor)
         for deformation in config.deformations
     ]
     kappa_max = max(kappas)
 
-    # contract each twisted symmetric state once; every projector reuses them
-    twisted = {
-        (g, h): contract_isometric_state(
-            lattice, config.rep, BoundaryTwist(g=g, h=h), tensor=tensor
-        )
-        for (g, h) in config.rep.group.commuting_pairs()
-    }
-    projectors = [
-        ground_projector(
-            lattice, config.rep, config.deformations, t,
-            tensor=tensor, twisted_states=twisted,
-        )
-        for t in range(n + 1)
-    ]
+    twisted = twisted_states(lattice, tensor)
+    e = tensor.rep.group.identity
+    untwisted = tensor.rep.group.commuting_pairs().index((e, e))
+    initial = StateVector(
+        lattice=lattice, site_dim=tensor.sym_dim, amplitudes=twisted[untwisted].copy()
+    )
+    projectors = ground_projectors(lattice, twisted, config.deformations, range(n + 1))
+    del twisted  # spent by the pass; free it before the spectra
     spectra = [
         jordan_decompose(projectors[t], projectors[t + 1]) for t in range(n)
     ]
@@ -211,11 +202,8 @@ def prepare_protocol(config: ProtocolConfig) -> PreparedProtocol:
         if m < 1:
             raise ValueError(f"per-step cap must be >= 1, got {m}")
 
-    e = config.rep.group.identity
-    initial = twisted[(e, e)]
     return PreparedProtocol(
         config=config,
-        tensor=tensor,
         projectors=projectors,
         spectra=spectra,
         initial_state=initial,
@@ -363,52 +351,24 @@ def run_protocol(
     )
 
 
-def run_many(
-    config: ProtocolConfig, trials: int, prepared: PreparedProtocol | None = None
-) -> list[ProtocolTrace]:
-    if prepared is None:
-        prepared = prepare_protocol(config)
-    return [run_protocol(prepared, trial=k) for k in range(trials)]
-
-
 # ---------------------------------------------------------------------------
 # failure statistics
-
-
-def failure_curve(
-    lattice: TorusLattice,
-    rep: SemiRegularRep,
-    deformations: Sequence[Deformation],
-    t: int,
-    initial_state: StateVector,
-    m_max: int = 100,
-    tensor: SiteTensor | None = None,
-    twisted_states=None,
-) -> FailureCurve:
-    """Exact failure law for growing vertex ``t+1`` from a given state.
-
-    The state must lie in the step-``t`` ground space; its decomposition
-    over the principal directions supplies the block weights.
-    """
-    if tensor is None:
-        tensor = build_site_tensor(rep)
-    p_t = ground_projector(lattice, rep, deformations, t, tensor=tensor,
-                           twisted_states=twisted_states)
-    p_next = ground_projector(lattice, rep, deformations, t + 1, tensor=tensor,
-                              twisted_states=twisted_states)
-    inside = p_t.weight(initial_state)
-    if inside < 1.0 - 1e-10:
-        raise StateOutsideProjector(
-            f"initial state has weight {inside!r} in the step-{t} ground space"
-        )
-    spectrum = jordan_decompose(p_t, p_next)
-    return curve_from_spectrum(spectrum, initial_state, m_max)
 
 
 def curve_from_spectrum(
     spectrum: JordanSpectrum, initial_state: StateVector, m_max: int = 100
 ) -> FailureCurve:
+    """Exact failure law for one step entered from ``initial_state``.
+
+    The state must lie in the range of the step's first projector; its
+    decomposition over the principal directions supplies the block weights.
+    """
     weights = np.abs(spectrum.r_vectors.conj().T @ initial_state.amplitudes) ** 2
+    inside = float(weights.sum())
+    if inside < 1.0 - 1e-10:
+        raise StateOutsideProjector(
+            f"initial state has weight {inside!r} in the step's first ground space"
+        )
     occupied = weights > OCCUPATION_TOL
     if np.any(spectrum.overlaps[occupied] <= spectrum.zero_tol):
         # cannot happen for invertible deformations started from the
@@ -462,15 +422,7 @@ def empirical_step_failures(
 
 def canonical_entering_state(prepared: PreparedProtocol, step_index: int) -> StateVector:
     """Untwisted partial PEPS entering step ``step_index`` (0-based)."""
-    config = prepared.config
-    return partial_peps_state(
-        config.lattice,
-        config.rep,
-        config.deformations,
-        t=step_index,
-        tensor=prepared.tensor,
-        base_state=prepared.initial_state,
-    )
+    return partial_peps_state(prepared.initial_state, prepared.config.deformations, t=step_index)
 
 
 def aggregate_step_stats(prepared: PreparedProtocol, traces: Sequence[ProtocolTrace]) -> list[dict]:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import gpeps as gp
-from gpeps.lattice import BoundaryTwist
 
 
 @pytest.fixture(scope="session")
@@ -28,20 +27,22 @@ def z3():
 
 @pytest.fixture(scope="session")
 def z2_twisted(z2, lat22):
-    group, rep, tensor = z2
-    return {
-        (g, h): gp.contract_isometric_state(lat22, rep, BoundaryTwist(g, h), tensor=tensor)
-        for (g, h) in group.commuting_pairs()
-    }
+    """(pairs, dim) twisted isometric states, in commuting-pair order.
+
+    Read-only: the pipeline advances its columns in place, so a test that
+    hands a shared fixture to it by mistake fails loudly.
+    """
+    return _frozen(gp.twisted_states(lat22, z2[2]))
 
 
 @pytest.fixture(scope="session")
 def z3_twisted(z3, lat22):
-    group, rep, tensor = z3
-    return {
-        (g, h): gp.contract_isometric_state(lat22, rep, BoundaryTwist(g, h), tensor=tensor)
-        for (g, h) in group.commuting_pairs()
-    }
+    return _frozen(gp.twisted_states(lat22, z3[2]))
+
+
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 def stack_columns(states):

@@ -60,7 +60,7 @@ def test_criterion_2_trivial_group_reduction(lat22):
     with criterion(2, "trivial group reduces to the entangled-pair product"):
         rep = gp.semi_regular_rep(gp.build_group("trivial"), {"trivial": 2})
         tensor = gp.build_site_tensor(rep)
-        state = gp.contract_isometric_state(lat22, rep, tensor=tensor)
+        state = gp.contract_isometric_state(lat22, tensor)
         ambient = decompress_state(state, tensor)
         bond_dim = 2
         n_legs = 4 * lat22.n_vertices
@@ -107,27 +107,22 @@ def _toric_code_degeneracy_2x2() -> int:
 
 def test_criterion_3_toric_code_degeneracy(z2, lat22, z2_twisted):
     with criterion(3, "torus ground-space rank matches the quantum-double degeneracy"):
-        _, rep, tensor = z2
+        _, _, tensor = z2
         ident = [gp.identity_deformation(tensor, site=v) for v in range(4)]
-        proj = gp.ground_projector(
-            lat22, rep, ident, 0, tensor=tensor, twisted_states=z2_twisted
-        )
+        proj = gp.ground_projector(lat22, z2_twisted, ident, 0)
         oracle = _toric_code_degeneracy_2x2()
         assert oracle == 4
         assert proj.rank == oracle, (proj.rank, oracle)
 
 
-def _lemma2_instance(group, tensor, twisted, pairs, deformations, step):
+def _lemma2_instance(lattice, tensor, twisted, deformations, step):
     """d_min of (P_step, P_step+1) from our pipeline and from scipy."""
     def columns(t):
         cols = []
-        for key in pairs:
-            state = twisted[key]
-            arr = state.amplitudes
+        for arr in twisted:
             for v in range(t):
                 arr = gp.apply_site_operator(
-                    gp.StateVector(lattice=state.lattice, site_dim=state.site_dim,
-                                   amplitudes=arr),
+                    gp.StateVector(lattice=lattice, site_dim=tensor.sym_dim, amplitudes=arr),
                     v, deformations[v].matrix,
                 )
             cols.append(arr / np.linalg.norm(arr))
@@ -151,7 +146,6 @@ def test_criterion_4_overlap_bound(z2, z3, lat22, z2_twisted, z3_twisted):
             (z2, z2_twisted, range(22), 4),
             (z3, z3_twisted, range(4), 1),
         ]:
-            pairs = group.commuting_pairs()
             for seed in seeds:
                 for j, kappa in enumerate(kappas):
                     base = 10_000 * (seed + 1) + 100 * j
@@ -160,9 +154,7 @@ def test_criterion_4_overlap_bound(z2, z3, lat22, z2_twisted, z3_twisted):
                         for v in range(4)
                     ]
                     step = seed % steps
-                    d_min, d_min_oracle = _lemma2_instance(
-                        group, tensor, twisted, pairs, defs, step
-                    )
+                    d_min, d_min_oracle = _lemma2_instance(lat22, tensor, twisted, defs, step)
                     realized = defs[step].kappa_sym
                     assert abs(realized - kappa) <= 0.01 * kappa
                     assert abs(d_min - d_min_oracle) <= 1e-9, (d_min, d_min_oracle)
@@ -179,7 +171,7 @@ def lemma3_configs(z2, z3, lat22):
     for (group, rep, tensor), n_seeds in [(z2, 3), (z3, 3)]:
         pairs = group.commuting_pairs()
         twisted = {
-            key: gp.contract_isometric_state(lat22, rep, BoundaryTwist(*key), tensor=tensor)
+            key: gp.contract_isometric_state(lat22, tensor, BoundaryTwist(*key))
             for key in pairs
         }
         cols0 = stack_columns(twisted.values())
@@ -206,7 +198,7 @@ def test_criterion_5_failure_law(lemma3_configs, z2, lat22):
         for name, kappa, seed, curve in lemma3_configs:
             assert np.all(curve.pfail <= curve.bound + 1e-12), (name, kappa, seed)
         # Monte Carlo cross-check on two configurations
-        _, rep, tensor = z2
+        _, _, tensor = z2
         trials = 1000
         for seed in [0, 1]:
             defs = tuple(
@@ -215,7 +207,7 @@ def test_criterion_5_failure_law(lemma3_configs, z2, lat22):
             )
             prepared = prepare_protocol(
                 gp.ProtocolConfig(
-                    lattice=lat22, rep=rep, deformations=defs,
+                    lattice=lat22, tensor=tensor, deformations=defs,
                     epsilon=0.1, m_policy=4, seed=500 + seed,
                 )
             )
@@ -233,12 +225,12 @@ def test_criterion_5_failure_law(lemma3_configs, z2, lat22):
 @pytest.fixture(scope="module")
 def theorem4_runs(z2, lat22):
     """Full-protocol Monte Carlo with the repetition rule, both epsilons."""
-    _, rep, tensor = z2
+    _, _, tensor = z2
     defs = tuple(gp.random_deformation(tensor, 2.0, seed=600 + v, site=v) for v in range(4))
     results = {}
     for epsilon in [0.5, 0.1]:
         config = gp.ProtocolConfig(
-            lattice=lat22, rep=rep, deformations=defs,
+            lattice=lat22, tensor=tensor, deformations=defs,
             epsilon=epsilon, m_policy="auto", seed=42,
         )
         prepared = prepare_protocol(config)

@@ -1,6 +1,10 @@
 """CLI subcommands, exit codes, and reproducible outputs."""
 
+import hashlib
 import json
+import os
+
+import pytest
 
 from gpeps.cli import main
 
@@ -192,3 +196,63 @@ def test_missing_config_exit_2(capsys):
     code = main(["verify-group", "--config", "/nonexistent/x.json"])
     capsys.readouterr()
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# bad inputs exit 2, before any report is written
+
+BAD_CONFIGS = {
+    "missing-deformation-file": (
+        "overlap", {"deformations": {"mode": "file", "path": "/nonexistent/defs.json"}}),
+    "non-object-deformations": ("simulate", {"deformations": "random"}),
+    "overlap-step-below-0": ("overlap", {"step": -1}),
+    "overlap-step-past-last": ("overlap", {"step": 2}),
+    "sweep-step-below-0": ("sweep", {"step": -1}),
+    "sweep-step-past-last": ("sweep", {"step": 2}),
+    "empty-kappas": ("sweep", {"kappas": []}),
+    "instances-below-1": ("sweep", {"instances": 0}),
+    "negative-trials": ("simulate", {"trials": -3}),
+}
+
+
+@pytest.mark.parametrize("command,doc", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
+def test_bad_config_exit_2(tmp_path, capsys, command, doc):
+    cfg = _write(tmp_path, "bad.json", {"group": "Z2", "lattice": {"width": 2, "height": 1}, **doc})
+    code = main([command, "--config", cfg, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_threads_clamped_and_echoed(tmp_path, capsys):
+    cfg = _write(tmp_path, "s.json", {"group": "Z2", "lattice": {"width": 2, "height": 1},
+                                      "trials": 2, "seed": 3})
+    code, payload = _run(
+        capsys, ["simulate", "--config", cfg, "--out", str(tmp_path), "--threads", "3"]
+    )
+    assert code == 0
+    assert payload["resolved_config"]["threads"] == min(3, 2, os.cpu_count())
+
+
+# SHA-256 of the outcome bits of this fixed run, recorded before the
+# ground-space pipeline was rewritten; a refactor must replay it exactly.
+Z2_SIMULATE_BITS_SHA256 = "51cf3156fb8b383c81a89053ee23cb49530bfb2d83099f9838df5d12955549a1"
+
+
+def test_simulate_bits_pinned(tmp_path, capsys):
+    cfg = _write(
+        tmp_path, "s.json",
+        {
+            "group": "Z2",
+            "lattice": {"width": 2, "height": 2},
+            "deformations": {"mode": "random", "kappa": 2.0, "seed": 21},
+            "epsilon": 0.2,
+            "m": 8,
+            "trials": 20,
+            "seed": 5,
+        },
+    )
+    code, _ = _run(capsys, ["simulate", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 0
+    traces = [json.loads(line) for line in (tmp_path / "traces.jsonl").read_text().splitlines()]
+    bits = [[step["bits"] for step in trace["steps"]] for trace in traces]
+    assert hashlib.sha256(json.dumps(bits).encode()).hexdigest() == Z2_SIMULATE_BITS_SHA256

@@ -1,12 +1,13 @@
 """Torus geometry, exact contraction, twists, ground projectors."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 import gpeps as gp
-from gpeps.errors import DimensionOverflow, NonCommutingTwist, ZeroState
+from gpeps.errors import DimensionMismatch, DimensionOverflow, NonCommutingTwist, ZeroState
 from gpeps.lattice import (
     LEG_B,
     LEG_L,
@@ -66,24 +67,24 @@ def _product_of_pairs_oracle(lat, bond_dim):
 def test_trivial_group_state_is_product_of_pairs(lat22):
     rep = gp.semi_regular_rep(gp.build_group("trivial"), {"trivial": 2})
     tensor = gp.build_site_tensor(rep)
-    state = gp.contract_isometric_state(lat22, rep, tensor=tensor)
+    state = gp.contract_isometric_state(lat22, tensor)
     ambient = decompress_state(state, tensor)
     oracle = _product_of_pairs_oracle(lat22, 2)
     assert abs(np.vdot(oracle, ambient)) ** 2 > 1.0 - 1e-12
 
 
 def test_identity_twist_is_no_twist(z2, lat22):
-    _, rep, tensor = z2
-    plain = gp.contract_isometric_state(lat22, rep, tensor=tensor)
+    _, _, tensor = z2
+    plain = gp.contract_isometric_state(lat22, tensor)
     twisted = gp.contract_isometric_state(
-        lat22, rep, BoundaryTwist(0, 0, cut_col=1, cut_row=1), tensor=tensor
+        lat22, tensor, BoundaryTwist(0, 0, cut_col=1, cut_row=1)
     )
     assert np.abs(plain.amplitudes - twisted.amplitudes).max() < 1e-14
 
 
 def test_states_are_normalized(z2_twisted):
-    for state in z2_twisted.values():
-        assert abs(state.norm - 1.0) < 1e-12
+    for amplitudes in z2_twisted:
+        assert abs(np.linalg.norm(amplitudes) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -136,67 +137,67 @@ def _z2_stabilizer_expectations(lat, vec):
 
 
 def test_z2_twisted_states_are_quantum_double_ground_states(z2, lat22, z2_twisted):
-    _, _, tensor = z2
-    for (g, h), state in z2_twisted.items():
+    group, _, tensor = z2
+    for (g, h), amplitudes in zip(group.commuting_pairs(), z2_twisted):
+        state = gp.StateVector(lattice=lat22, site_dim=8, amplitudes=amplitudes)
         ambient = decompress_state(state, tensor)
         evs = _z2_stabilizer_expectations(lat22, ambient)
         assert evs.min() > 1.0 - 1e-12, ((g, h), evs.min())
 
 
 def test_z2_ground_rank_four(z2, lat22, z2_twisted):
-    _, rep, tensor = z2
+    _, _, tensor = z2
     ident = [gp.identity_deformation(tensor, site=v) for v in range(4)]
-    proj = gp.ground_projector(lat22, rep, ident, 0, tensor=tensor, twisted_states=z2_twisted)
+    proj = gp.ground_projector(lat22, z2_twisted, ident, 0)
     assert proj.rank == 4
     # independent rank count on the raw column stack
-    cols = stack_columns(z2_twisted.values())
+    cols = z2_twisted.T
     assert np.linalg.matrix_rank(cols, tol=1e-8) == 4
 
 
 def test_trivial_group_rank_one(lat22):
     rep = gp.semi_regular_rep(gp.build_group("trivial"), {"trivial": 2})
     tensor = gp.build_site_tensor(rep)
-    proj = gp.ground_projector(lat22, rep, [gp.identity_deformation(tensor)] * 4, 0, tensor=tensor)
+    twisted = gp.twisted_states(lat22, tensor)
+    proj = gp.ground_projector(lat22, twisted, [gp.identity_deformation(tensor)] * 4, 0)
     assert proj.rank == 1
 
 
 def test_z3_ground_rank_nine(z3, lat22, z3_twisted):
-    _, rep, tensor = z3
+    _, _, tensor = z3
     ident = [gp.identity_deformation(tensor, site=v) for v in range(4)]
-    proj = gp.ground_projector(lat22, rep, ident, 0, tensor=tensor, twisted_states=z3_twisted)
+    proj = gp.ground_projector(lat22, z3_twisted, ident, 0)
     assert proj.rank == 9
 
 
+def _state(lattice, amplitudes):
+    return gp.StateVector(lattice=lattice, site_dim=8, amplitudes=amplitudes)
+
+
 def test_identity_deformations_leave_state_fixed(z2, lat22, z2_twisted):
-    _, rep, tensor = z2
+    _, _, tensor = z2
     ident = [gp.identity_deformation(tensor, site=v) for v in range(4)]
-    base = z2_twisted[(0, 0)]
+    base = _state(lat22, z2_twisted[0])
     for t in [0, 2, 4]:
-        state = gp.partial_peps_state(
-            lat22, rep, ident, BoundaryTwist(0, 0), t=t, tensor=tensor, base_state=base
-        )
+        state = gp.partial_peps_state(base, ident, t=t)
         assert np.abs(state.amplitudes - base.amplitudes).max() < 1e-12
 
 
 def test_fully_deformed_twisted_states_independent(z2, lat22, z2_twisted):
-    _, rep, tensor = z2
+    _, _, tensor = z2
     defs = [gp.random_deformation(tensor, 3.0, seed=40 + v, site=v) for v in range(4)]
-    states = [
-        gp.partial_peps_state(lat22, rep, defs, BoundaryTwist(g, h), t=4,
-                              tensor=tensor, base_state=z2_twisted[(g, h)])
-        for (g, h) in z2_twisted
-    ]
+    states = [gp.partial_peps_state(_state(lat22, row), defs, t=4) for row in z2_twisted]
     cols = stack_columns(states)
     gram = cols.conj().T @ cols
     assert np.linalg.matrix_rank(gram, tol=1e-10) == 4
 
 
 def test_zero_state_raised(z2, lat22, z2_twisted):
-    _, rep, tensor = z2
     zero = gp.Deformation(site=0, matrix=np.zeros((8, 8), dtype=complex), kappa_sym=np.inf)
     with pytest.raises(ZeroState):
-        gp.partial_peps_state(lat22, rep, [zero], BoundaryTwist(0, 0), t=1,
-                              tensor=tensor, base_state=z2_twisted[(0, 0)])
+        gp.partial_peps_state(_state(lat22, z2_twisted[0]), [zero], t=1)
+    with pytest.raises(ZeroState):
+        gp.ground_projector(lat22, z2_twisted, [zero], 1)
 
 
 @pytest.mark.parametrize("name", ["Z2", "Z3"])
@@ -208,7 +209,7 @@ def test_twist_gauge_rank_one_abelian(name, lat22):
         for h in range(group.order):
             states = [
                 gp.contract_isometric_state(
-                    lat22, rep, BoundaryTwist(g, h, cut_col=cc, cut_row=cr), tensor=tensor
+                    lat22, tensor, BoundaryTwist(g, h, cut_col=cc, cut_row=cr)
                 )
                 for cc in range(2)
                 for cr in range(2)
@@ -219,11 +220,11 @@ def test_twist_gauge_rank_one_abelian(name, lat22):
 
 def test_ground_space_nesting(z2, lat22, z2_twisted):
     # applying the next deformation maps range(P_t) into range(P_{t+1})
-    _, rep, tensor = z2
+    _, _, tensor = z2
     defs = [gp.random_deformation(tensor, 2.0, seed=60 + v, site=v) for v in range(4)]
     for t in range(4):
-        p_t = gp.ground_projector(lat22, rep, defs, t, tensor=tensor, twisted_states=z2_twisted)
-        p_next = gp.ground_projector(lat22, rep, defs, t + 1, tensor=tensor, twisted_states=z2_twisted)
+        p_t = gp.ground_projector(lat22, z2_twisted, defs, t)
+        p_next = gp.ground_projector(lat22, z2_twisted, defs, t + 1)
         for k in range(p_t.rank):
             moved = gp.apply_site_operator(
                 gp.StateVector(lattice=lat22, site_dim=8, amplitudes=p_t.basis[:, k]),
@@ -237,9 +238,9 @@ def test_ground_space_nesting(z2, lat22, z2_twisted):
 
 def test_projector_columns_site_symmetric(z2, lat22, z2_twisted):
     # at an untouched vertex, the ambient site symmetrizer fixes every column
-    _, rep, tensor = z2
+    _, _, tensor = z2
     defs = [gp.random_deformation(tensor, 2.0, seed=80 + v, site=v) for v in range(4)]
-    proj = gp.ground_projector(lat22, rep, defs, 1, tensor=tensor, twisted_states=z2_twisted)
+    proj = gp.ground_projector(lat22, z2_twisted, defs, 1)
     sym = tensor.matrix  # projector in the ambient leg space (regular rep)
     for k in range(proj.rank):
         state = gp.StateVector(lattice=lat22, site_dim=8, amplitudes=proj.basis[:, k])
@@ -253,23 +254,60 @@ def test_projector_columns_site_symmetric(z2, lat22, z2_twisted):
 
 
 def test_contraction_dimension_overflow(z3):
-    _, rep, tensor = z3
+    _, _, tensor = z3
     big = gp.TorusLattice.build(3, 3)
     with pytest.raises(DimensionOverflow):
-        gp.contract_isometric_state(big, rep, tensor=tensor)
+        gp.contract_isometric_state(big, tensor)
 
 
 def test_state_export_roundtrip(tmp_path, z2, lat22, z2_twisted):
-    _, rep, tensor = z2
-    state = z2_twisted[(1, 0)]
+    group, rep, tensor = z2
+    state = _state(lat22, z2_twisted[group.commuting_pairs().index((1, 0))])
     base = str(tmp_path / "state")
     defs = [gp.identity_deformation(tensor, site=v) for v in range(4)]
     gp.save_state(state, base, rep=rep, twist=BoundaryTwist(1, 0), deformations=defs)
     back = gp.load_state(base)
     assert np.abs(back.amplitudes - state.amplitudes).max() == 0.0
-    import json
-
     sidecar = json.loads((tmp_path / "state.json").read_text())
     assert sidecar["twist"] == {"g": 1, "h": 0, "cut_col": 0, "cut_row": 0}
     assert sidecar["rep"]["group"] == "Z2"
     assert "deformation_hash" in sidecar
+
+
+def test_load_state_rejects_truncated_or_mismatched_file(tmp_path, lat22, z2_twisted):
+    base = str(tmp_path / "state")
+    gp.save_state(_state(lat22, z2_twisted[0]), base)
+    with open(base + ".bin", "r+b") as fh:
+        fh.truncate(80)
+    with pytest.raises(DimensionMismatch):
+        gp.load_state(base)
+    gp.save_state(_state(lat22, z2_twisted[0]), base)
+    sidecar = json.loads((tmp_path / "state.json").read_text())
+    sidecar["site_dim"] = 4
+    (tmp_path / "state.json").write_text(json.dumps(sidecar))
+    with pytest.raises(DimensionMismatch):
+        gp.load_state(base)
+
+
+def test_one_pass_projectors_match_from_scratch_bit_for_bit(z2, lat22, z2_twisted):
+    # the incremental pass must reproduce the from-scratch columns exactly,
+    # so that traces replay bit for bit
+    _, _, tensor = z2
+    defs = [gp.random_deformation(tensor, 3.0, seed=90 + v, site=v) for v in range(4)]
+    one_pass = gp.ground_projectors(lat22, z2_twisted.copy(), defs, range(5))
+    for t, projector in enumerate(one_pass):
+        scratch = gp.projector_from_columns(
+            stack_columns(gp.partial_peps_state(_state(lat22, row), defs, t=t) for row in z2_twisted),
+            step=t,
+        )
+        alone = gp.ground_projector(lat22, z2_twisted, defs, t)
+        assert projector.step == t
+        assert np.array_equal(projector.basis, scratch.basis)
+        assert np.array_equal(projector.basis, alone.basis)
+
+
+def test_ground_projectors_rejects_steps_out_of_range(z2, lat22, z2_twisted):
+    ident = [gp.identity_deformation(z2[2], site=v) for v in range(4)]
+    for steps in [(-1, 0), (4, 5)]:
+        with pytest.raises(ValueError):
+            gp.ground_projectors(lat22, z2_twisted.copy(), ident, steps)

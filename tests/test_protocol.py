@@ -19,7 +19,6 @@ from gpeps.protocol import (
     estimate_repetitions,
     pfail_bound,
     prepare_protocol,
-    run_many,
     run_protocol,
     trace_to_dict,
 )
@@ -27,10 +26,10 @@ from gpeps.protocol import (
 
 @pytest.fixture(scope="module")
 def z2_protocol(z2, lat22):
-    _, rep, tensor = z2
+    _, _, tensor = z2
     defs = tuple(gp.random_deformation(tensor, 2.0, seed=100 + v, site=v) for v in range(4))
     config = gp.ProtocolConfig(
-        lattice=lat22, rep=rep, deformations=defs, epsilon=0.1, m_policy="auto", seed=11
+        lattice=lat22, tensor=tensor, deformations=defs, epsilon=0.1, m_policy="auto", seed=11
     )
     return prepare_protocol(config)
 
@@ -79,11 +78,15 @@ def test_pfail_bound_zero_dmin():
     assert pfail_bound(0.0, 10) == np.inf
 
 
+def _trials(prepared, count):
+    return [run_protocol(prepared, trial=k) for k in range(count)]
+
+
 def test_identity_protocol_first_try(z2, lat22):
-    _, rep, tensor = z2
+    _, _, tensor = z2
     ident = tuple(gp.identity_deformation(tensor, site=v) for v in range(4))
     config = gp.ProtocolConfig(
-        lattice=lat22, rep=rep, deformations=ident, epsilon=0.5, m_policy="auto", seed=1
+        lattice=lat22, tensor=tensor, deformations=ident, epsilon=0.5, m_policy="auto", seed=1
     )
     trace = run_protocol(config)
     assert trace.success
@@ -93,7 +96,7 @@ def test_identity_protocol_first_try(z2, lat22):
 
 
 def test_protocol_success_and_fidelity(z2_protocol):
-    traces = run_many(z2_protocol.config, 200, prepared=z2_protocol)
+    traces = _trials(z2_protocol, 200)
     frac = np.mean([t.success for t in traces])
     assert frac >= 1.0 - z2_protocol.config.epsilon - 3 * np.sqrt(0.1 * 0.9 / 200)
     for t in traces:
@@ -117,10 +120,10 @@ def test_protocol_replay_deterministic(z2_protocol):
 
 
 def test_step_exhaustion_recorded_and_strict(z2, lat22):
-    _, rep, tensor = z2
+    _, _, tensor = z2
     defs = tuple(gp.random_deformation(tensor, 8.0, seed=300 + v, site=v) for v in range(4))
     config = gp.ProtocolConfig(
-        lattice=lat22, rep=rep, deformations=defs, epsilon=0.1, m_policy=1, seed=2
+        lattice=lat22, tensor=tensor, deformations=defs, epsilon=0.1, m_policy=1, seed=2
     )
     prepared = prepare_protocol(config)
     failing = None
@@ -139,7 +142,7 @@ def test_step_exhaustion_recorded_and_strict(z2, lat22):
 def test_invariant_monitor_clean(z2_protocol):
     config = gp.ProtocolConfig(
         lattice=z2_protocol.config.lattice,
-        rep=z2_protocol.config.rep,
+        tensor=z2_protocol.config.tensor,
         deformations=z2_protocol.config.deformations,
         epsilon=0.1,
         m_policy=4,
@@ -152,19 +155,21 @@ def test_invariant_monitor_clean(z2_protocol):
 
 
 def test_protocol_epsilon_validation(z2, lat22):
-    _, rep, tensor = z2
+    _, _, tensor = z2
     ident = tuple(gp.identity_deformation(tensor, site=v) for v in range(4))
     with pytest.raises(InvalidEpsilon):
         prepare_protocol(
-            gp.ProtocolConfig(lattice=lat22, rep=rep, deformations=ident, epsilon=1.5)
+            gp.ProtocolConfig(lattice=lat22, tensor=tensor, deformations=ident, epsilon=1.5)
         )
 
 
 def test_failure_curve_identity_is_zero(z2, lat22):
-    _, rep, tensor = z2
-    ident = [gp.identity_deformation(tensor, site=v) for v in range(4)]
-    state = gp.contract_isometric_state(lat22, rep, tensor=tensor)
-    curve = gp.failure_curve(lat22, rep, ident, 0, state, m_max=20, tensor=tensor)
+    _, _, tensor = z2
+    ident = tuple(gp.identity_deformation(tensor, site=v) for v in range(4))
+    prepared = prepare_protocol(
+        gp.ProtocolConfig(lattice=lat22, tensor=tensor, deformations=ident, epsilon=0.1)
+    )
+    curve = curve_from_spectrum(prepared.spectra[0], prepared.initial_state, m_max=20)
     assert np.abs(curve.pfail).max() < 1e-12
     assert curve.d_min == pytest.approx(1.0)
 
@@ -177,14 +182,10 @@ def test_failure_curve_requires_state_in_ground_space(z2_protocol):
         lattice=z2_protocol.config.lattice, site_dim=8, amplitudes=vec / np.linalg.norm(vec)
     )
     with pytest.raises(StateOutsideProjector):
-        gp.failure_curve(
-            z2_protocol.config.lattice,
-            z2_protocol.config.rep,
-            list(z2_protocol.config.deformations),
-            0,
-            random_state,
-            tensor=z2_protocol.tensor,
-        )
+        curve_from_spectrum(z2_protocol.spectra[0], random_state)
+    # the canonical entering state of a later step lies outside P_0 too
+    with pytest.raises(StateOutsideProjector):
+        curve_from_spectrum(z2_protocol.spectra[0], canonical_entering_state(z2_protocol, 2))
 
 
 def test_failure_curve_below_bound(z2_protocol):
@@ -207,7 +208,7 @@ def test_empirical_step_failures_match_curve(z2_protocol):
 
 
 def test_aggregate_step_stats(z2_protocol):
-    traces = run_many(z2_protocol.config, 50, prepared=z2_protocol)
+    traces = _trials(z2_protocol, 50)
     rows = aggregate_step_stats(z2_protocol, traces)
     assert [row["step"] for row in rows] == [1, 2, 3, 4]
     for row in rows:
@@ -224,23 +225,23 @@ def test_trivial_group_runs_injective_protocol(lat22):
     tensor = gp.build_site_tensor(rep)
     defs = tuple(gp.random_deformation(tensor, 2.0, seed=700 + v, site=v) for v in range(4))
     config = gp.ProtocolConfig(
-        lattice=lat22, rep=rep, deformations=defs, epsilon=0.25, m_policy="auto", seed=8
+        lattice=lat22, tensor=tensor, deformations=defs, epsilon=0.25, m_policy="auto", seed=8
     )
     prepared = prepare_protocol(config)
     assert all(p.rank == 1 for p in prepared.projectors)
-    traces = run_many(config, 60, prepared=prepared)
+    traces = _trials(prepared, 60)
     frac = np.mean([t.success for t in traces])
     assert frac >= 0.75 - 3 * np.sqrt(0.25 * 0.75 / 60)
     assert all(t.final_fidelity >= 1.0 - 1e-8 for t in traces if t.success)
 
 
 def test_deformation_count_validated(z2, lat22):
-    _, rep, tensor = z2
+    _, _, tensor = z2
     with pytest.raises(ValueError):
         prepare_protocol(
             gp.ProtocolConfig(
                 lattice=lat22,
-                rep=rep,
+                tensor=tensor,
                 deformations=(gp.identity_deformation(tensor),),
                 epsilon=0.1,
             )
@@ -250,12 +251,12 @@ def test_deformation_count_validated(z2, lat22):
 def test_singular_deformation_rejected(z2, lat22):
     from gpeps.errors import SingularOnSymmetric
 
-    _, rep, tensor = z2
+    _, _, tensor = z2
     singular = np.eye(tensor.sym_dim, dtype=complex)
     singular[0, 0] = 0.0
     defs = [gp.identity_deformation(tensor, site=v) for v in range(4)]
     defs[2] = gp.Deformation(site=2, matrix=singular, kappa_sym=np.inf)
     with pytest.raises(SingularOnSymmetric):
         prepare_protocol(
-            gp.ProtocolConfig(lattice=lat22, rep=rep, deformations=tuple(defs), epsilon=0.1)
+            gp.ProtocolConfig(lattice=lat22, tensor=tensor, deformations=tuple(defs), epsilon=0.1)
         )
