@@ -170,15 +170,13 @@ def contract_isometric_state(
     lattice: TorusLattice,
     tensor: SiteTensor,
     twist: BoundaryTwist | None = None,
-    out: np.ndarray | None = None,
 ) -> StateVector:
     """Exact contraction of the group-symmetric PEPS with a boundary twist.
 
     Places maximally entangled bond pairs on every edge, inserts the twist
     unitaries on the bonds crossing the cuts, applies the compressed site
     map at every vertex and contracts the whole network in one einsum.
-    Deterministic for a fixed lattice, site tensor and twist.  The
-    normalized amplitudes are written into ``out`` when it is given.
+    Deterministic for a fixed lattice, site tensor and twist.
     """
     rep = tensor.rep
     if twist is None:
@@ -219,7 +217,7 @@ def contract_isometric_state(
         operands.extend((op, labels))
     amplitudes = np.einsum(*operands, list(range(n_sites)), optimize="greedy").reshape(-1)
     return StateVector(
-        lattice=lattice, site_dim=tensor.sym_dim, amplitudes=_normalized(amplitudes, 0, out=out)
+        lattice=lattice, site_dim=tensor.sym_dim, amplitudes=_normalized(amplitudes, 0)
     )
 
 
@@ -233,7 +231,7 @@ def twisted_states(lattice: TorusLattice, tensor: SiteTensor) -> np.ndarray:
     pairs = tensor.rep.group.commuting_pairs()
     columns = np.empty((len(pairs), _state_dim(lattice, tensor)), dtype=complex)
     for k, (g, h) in enumerate(pairs):
-        contract_isometric_state(lattice, tensor, BoundaryTwist(g=g, h=h), out=columns[k])
+        columns[k] = contract_isometric_state(lattice, tensor, BoundaryTwist(g=g, h=h)).amplitudes
     return columns
 
 

@@ -362,7 +362,14 @@ def curve_from_spectrum(
 
     The state must lie in the range of the step's first projector; its
     decomposition over the principal directions supplies the block weights.
+    Those directions span that range only when its rank does not exceed the
+    second projector's, so a larger first rank is reported on its own.
     """
+    if spectrum.rank_p > spectrum.rank_q:
+        # invertible deformations keep the rank; a drop is a bug signal
+        raise BoundViolation(
+            f"ground-space rank falls from {spectrum.rank_p} to {spectrum.rank_q}"
+        )
     weights = np.abs(spectrum.r_vectors.conj().T @ initial_state.amplitudes) ** 2
     inside = float(weights.sum())
     if inside < 1.0 - 1e-10:

@@ -5,11 +5,13 @@ import pytest
 
 import gpeps as gp
 from gpeps.errors import (
+    BoundViolation,
     InvalidEpsilon,
     StateOutsideProjector,
     StepExhausted,
     UnnormalizedWeights,
 )
+from gpeps.lattice import projector_from_columns
 from gpeps.protocol import (
     aggregate_step_stats,
     analytic_pfail,
@@ -22,6 +24,7 @@ from gpeps.protocol import (
     run_protocol,
     trace_to_dict,
 )
+from gpeps.spectral import jordan_decompose
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +189,17 @@ def test_failure_curve_requires_state_in_ground_space(z2_protocol):
     # the canonical entering state of a later step lies outside P_0 too
     with pytest.raises(StateOutsideProjector):
         curve_from_spectrum(z2_protocol.spectra[0], canonical_entering_state(z2_protocol, 2))
+
+
+def test_failure_curve_rejects_rank_drop(z2_protocol):
+    # range(P_0) is only partly covered by the principal directions when the
+    # next ground space has a smaller rank: a rank error, not an outside state
+    p_0 = z2_protocol.projectors[0]
+    smaller = projector_from_columns(p_0.basis[:, :1], step=1)
+    spectrum = jordan_decompose(p_0, smaller)
+    assert (spectrum.rank_p, spectrum.rank_q) == (4, 1)
+    with pytest.raises(BoundViolation, match="rank"):
+        curve_from_spectrum(spectrum, z2_protocol.initial_state)
 
 
 def test_failure_curve_below_bound(z2_protocol):
