@@ -8,10 +8,8 @@ DEFAULT_MAX_AMPLITUDES = 2**26
 ENV_VAR = "GPEPS_MAX_AMPLITUDES"
 
 
-def max_amplitudes(override: int | None = None) -> int:
-    """Resolve the amplitude cap: explicit override > env var > default."""
-    if override is not None:
-        return int(override)
+def max_amplitudes() -> int:
+    """The amplitude cap: the ``GPEPS_MAX_AMPLITUDES`` variable, else the default."""
     env = os.environ.get(ENV_VAR)
     if env:
         return int(env)

@@ -248,9 +248,15 @@ def build_group(spec: str | Mapping | GroupTable) -> GroupTable:
         if name == "D4":
             return _validate_table("D4", _d4_table())
         raise ValueError(f"unknown built-in group {spec!r}")
-    mult = np.asarray(spec["mult_table"], dtype=int)
+    try:
+        mult = np.asarray(spec["mult_table"], dtype=int)
+        order = int(spec["order"]) if "order" in spec else None
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"table and order must be integers: {exc}") from exc
+    if mult.ndim != 2:
+        raise ValueError(f"multiplication table must be square, got shape {mult.shape}")
     name = str(spec.get("name", f"user{mult.shape[0]}"))
-    if "order" in spec and int(spec["order"]) != mult.shape[0]:
+    if order is not None and order != mult.shape[0]:
         raise ValueError("declared order does not match table size")
     return _validate_table(name, mult)
 
@@ -526,9 +532,12 @@ def load_group_document(doc: Mapping) -> tuple[GroupTable, list[Irrep]]:
     if raw is None:
         raise IncompleteIrrepSet("user group document lacks an 'irreps' list")
     supplied = []
-    for k, entry in enumerate(raw):
-        re_part = np.asarray(entry["matrices_re"], dtype=float)
-        im_part = np.asarray(entry.get("matrices_im", np.zeros_like(re_part)), dtype=float)
-        mats = re_part + 1j * im_part
-        supplied.append(Irrep(str(entry.get("label", f"irrep{k}")), int(entry["dim"]), mats))
+    try:
+        for k, entry in enumerate(raw):
+            re_part = np.asarray(entry["matrices_re"], dtype=float)
+            im_part = np.asarray(entry.get("matrices_im", np.zeros_like(re_part)), dtype=float)
+            mats = re_part + 1j * im_part
+            supplied.append(Irrep(str(entry.get("label", f"irrep{k}")), int(entry["dim"]), mats))
+    except (TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed 'irreps' list: {exc}") from exc
     return group, irreps(group, supplied)

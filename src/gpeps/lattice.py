@@ -111,13 +111,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True, eq=False)
 class GroundProjector:
@@ -126,7 +119,7 @@ class GroundProjector:
     step: int
     basis: np.ndarray  # (dim, rank), orthonormal columns
     rank: int
-    tol: float
+    column_coordinates: np.ndarray  # (rank, m): basis^H times the m input columns
 
     @property
     def dim(self) -> int:
@@ -147,11 +140,13 @@ class GroundProjector:
 def projector_from_columns(
     columns: np.ndarray, step: int = 0, tol: float = PROJECTOR_RANK_TOL
 ) -> GroundProjector:
-    """Rank-revealing orthonormalization of a (dim, m) column stack."""
-    u, s, _ = np.linalg.svd(columns, full_matrices=False)
+    """Rank-revealing orthonormalization of a (dim, m) column stack
+    ``U S V^H``; the kept rows of ``S V^H`` are the columns' coordinates."""
+    u, s, vh = np.linalg.svd(columns, full_matrices=False)
     keep = s > tol * (s[0] if s.size else 0.0)
     return GroundProjector(
-        step=step, basis=np.ascontiguousarray(u[:, keep]), rank=int(keep.sum()), tol=tol
+        step=step, basis=np.ascontiguousarray(u[:, keep]), rank=int(keep.sum()),
+        column_coordinates=s[keep, None] * vh[keep],
     )
 
 

@@ -11,7 +11,8 @@ exact closed form
 
 over the principal-overlap blocks occupied by the entering state, and is
 bounded by ``1 / (2 d_min m)``.  Choosing ``m = ceil(N kappa^2 / 2 eps)``
-makes the full run succeed with probability at least ``1 - eps``.
+makes the full run succeed with probability at least ``1 - eps``.  The law
+is evaluated in the coordinates of each step's ground-space basis.
 
 Monte Carlo trials use independent counter-based random streams derived
 from the configured seed, so traces replay bit-identically.
@@ -37,7 +38,6 @@ from .lattice import (
     StateVector,
     TorusLattice,
     ground_projectors,
-    partial_peps_state,
     projector_from_columns,
     twisted_states,
 )
@@ -112,6 +112,7 @@ class PreparedProtocol:
     config: ProtocolConfig
     projectors: list[GroundProjector]
     spectra: list[JordanSpectrum]
+    entering: list[np.ndarray]  # untwisted state entering step t, in P_t's basis
     initial_state: StateVector
     m: int
     kappa_max: float
@@ -206,6 +207,7 @@ def prepare_protocol(config: ProtocolConfig) -> PreparedProtocol:
         config=config,
         projectors=projectors,
         spectra=spectra,
+        entering=[p.column_coordinates[:, untwisted] for p in projectors[:n]],
         initial_state=initial,
         m=m,
         kappa_max=kappa_max,
@@ -217,20 +219,23 @@ def prepare_protocol(config: ProtocolConfig) -> PreparedProtocol:
 # running
 
 
-def _block_monitor(spectrum: JordanSpectrum, entering: StateVector):
+def _block_monitor(prepared: PreparedProtocol, t: int, entering: StateVector):
     """Invariant checks used in traced runs.
 
     The measurement sequence can never leave the two-dimensional blocks
     occupied by the entering state, and whenever the state is back inside
     the previous ground space its forward-success probability is at least
-    the minimum occupied overlap.
+    the minimum occupied overlap.  Only here are the dense principal
+    vectors built.
     """
-    weights = np.abs(spectrum.r_vectors.conj().T @ entering.amplitudes) ** 2
+    previous, target = prepared.projectors[t : t + 2]
+    spectrum = prepared.spectra[t]
+    weights = spectrum.block_weights(previous.coefficients(entering.amplitudes))
     occupied = weights > OCCUPATION_TOL
-    block_vectors = np.concatenate(
-        [spectrum.r_vectors[:, occupied], spectrum.q_vectors[:, occupied]], axis=1
-    )
-    q = projector_from_columns(block_vectors).basis  # rank-revealing: d_k = 1 blocks are 1-dim
+    r_vectors = previous.basis @ spectrum.p_rotation[:, occupied]
+    q_vectors = target.basis @ spectrum.q_rotation[:, occupied]
+    # rank-revealing: d_k = 1 blocks are 1-dim
+    q = projector_from_columns(np.concatenate([r_vectors, q_vectors], axis=1)).basis
     d_min_occ = spectrum.d_min_occupied(weights)
 
     def check(state: StateVector, forward_probability: float | None) -> None:
@@ -256,16 +261,14 @@ def run_step(
     m: int,
     rng: np.random.Generator,
     monitor=None,
-) -> tuple[bool, list[int], int, StateVector, int]:
+) -> tuple[bool, list[int], int, StateVector]:
     """One growth step: forward attempt, then rewind/forward pairs.
 
-    Returns (success, outcome bits, forward attempts used, final state,
-    total measurements).
+    Returns (success, outcome bits with one per measurement, forward
+    attempts used, final state).
     """
     bits: list[int] = []
-    measurements = 0
     outcome = born_measure(state, target, rng)
-    measurements += 1
     bits.append(int(outcome.inside))
     state = outcome.state
     if monitor is not None:
@@ -273,20 +276,18 @@ def run_step(
     forward_used = 1
     while not outcome.inside and forward_used < m:
         rewind = born_measure(state, previous, rng)
-        measurements += 1
         bits.append(int(rewind.inside))
         state = rewind.state
         if monitor is not None:
             forward_prob = target.weight(state) if rewind.inside else None
             monitor(state, forward_prob)
         outcome = born_measure(state, target, rng)
-        measurements += 1
         bits.append(int(outcome.inside))
         state = outcome.state
         if monitor is not None:
             monitor(state, None)
         forward_used += 1
-    return outcome.inside, bits, forward_used, state, measurements
+    return outcome.inside, bits, forward_used, state
 
 
 def run_protocol(
@@ -312,14 +313,11 @@ def run_protocol(
     total = 0
     failed_step: int | None = None
     for t in range(prepared.n_steps):
-        monitor = None
-        if config.check_invariants:
-            monitor = _block_monitor(prepared.spectra[t], state)
-        success, bits, used, state, measurements = run_step(
-            state, prepared.projectors[t], prepared.projectors[t + 1], prepared.m, rng,
-            monitor=monitor,
+        monitor = _block_monitor(prepared, t, state) if config.check_invariants else None
+        success, bits, used, state = run_step(
+            state, *prepared.projectors[t : t + 2], prepared.m, rng, monitor=monitor
         )
-        total += measurements
+        total += len(bits)
         steps.append(
             StepRecord(step=t + 1, bits=tuple(bits), forward_count=used, success=success)
         )
@@ -328,16 +326,14 @@ def run_protocol(
             if strict:
                 raise StepExhausted(t + 1)
             break
-    final_projector = prepared.projectors[prepared.n_steps]
-    fidelity = final_projector.weight(state)
+    coefficients = prepared.projectors[prepared.n_steps].coefficients(state.amplitudes)
+    fidelity = float(np.linalg.norm(coefficients) ** 2)
     success = failed_step is None
     if success and fidelity < 1.0 - SUCCESS_FIDELITY_TOL:
         raise BoundViolation(
             f"successful run ended outside the target space (fidelity {fidelity!r})"
         )
-    block_weights = tuple(
-        float(x) for x in np.abs(final_projector.coefficients(state.amplitudes)) ** 2
-    )
+    block_weights = tuple(float(x) for x in np.abs(coefficients) ** 2)
     return ProtocolTrace(
         seed=config.seed,
         trial=trial,
@@ -346,7 +342,7 @@ def run_protocol(
         total_measurements=total,
         success=success,
         failed_step=failed_step,
-        final_fidelity=float(fidelity),
+        final_fidelity=fidelity,
         final_block_weights=block_weights,
     )
 
@@ -356,21 +352,22 @@ def run_protocol(
 
 
 def curve_from_spectrum(
-    spectrum: JordanSpectrum, initial_state: StateVector, m_max: int = 100
+    spectrum: JordanSpectrum, coordinates: np.ndarray, m_max: int = 100
 ) -> FailureCurve:
-    """Exact failure law for one step entered from ``initial_state``.
+    """Exact failure law for one step entered from the normalized state
+    with ``coordinates`` in the basis of the step's first projector.
 
-    The state must lie in the range of the step's first projector; its
-    decomposition over the principal directions supplies the block weights.
-    Those directions span that range only when its rank does not exceed the
-    second projector's, so a larger first rank is reported on its own.
+    The state must lie in that projector's range; its decomposition over the
+    principal directions supplies the block weights.  Those directions span
+    that range only when its rank does not exceed the second projector's,
+    so a larger first rank is reported on its own.
     """
     if spectrum.rank_p > spectrum.rank_q:
         # invertible deformations keep the rank; a drop is a bug signal
         raise BoundViolation(
             f"ground-space rank falls from {spectrum.rank_p} to {spectrum.rank_q}"
         )
-    weights = np.abs(spectrum.r_vectors.conj().T @ initial_state.amplitudes) ** 2
+    weights = spectrum.block_weights(coordinates)
     inside = float(weights.sum())
     if inside < 1.0 - 1e-10:
         raise StateOutsideProjector(
@@ -402,21 +399,17 @@ def empirical_step_failures(
     step_index: int,
     m: int,
     trials: int,
-    entering_state: StateVector | None = None,
+    entering_state: StateVector,
     stream_offset: int = 1_000_000,
 ) -> int:
     """Monte Carlo failures of one isolated step from a fixed entering state.
 
-    The default entering state is the canonical (untwisted) partial PEPS
-    with ``step_index`` deformations applied, which is what the analytic
-    curve describes.  Returns the number of failed chains out of ``trials``.
+    Returns the number of failed chains out of ``trials``.
     """
-    if entering_state is None:
-        entering_state = canonical_entering_state(prepared, step_index)
     failures = 0
     for k in range(trials):
         rng = measurement_stream(prepared.config.seed, stream_offset + k)
-        success, _, _, _, _ = run_step(
+        success, _, _, _ = run_step(
             entering_state,
             prepared.projectors[step_index],
             prepared.projectors[step_index + 1],
@@ -425,11 +418,6 @@ def empirical_step_failures(
         )
         failures += 0 if success else 1
     return failures
-
-
-def canonical_entering_state(prepared: PreparedProtocol, step_index: int) -> StateVector:
-    """Untwisted partial PEPS entering step ``step_index`` (0-based)."""
-    return partial_peps_state(prepared.initial_state, prepared.config.deformations, t=step_index)
 
 
 def aggregate_step_stats(prepared: PreparedProtocol, traces: Sequence[ProtocolTrace]) -> list[dict]:
@@ -443,9 +431,7 @@ def aggregate_step_stats(prepared: PreparedProtocol, traces: Sequence[ProtocolTr
     for t in range(prepared.n_steps):
         reached = [tr for tr in traces if len(tr.steps) > t]
         failed = [tr for tr in reached if tr.failed_step == t + 1]
-        curve = curve_from_spectrum(
-            prepared.spectra[t], canonical_entering_state(prepared, t), m_max=1
-        )
+        curve = curve_from_spectrum(prepared.spectra[t], prepared.entering[t], m_max=1)
         analytic = analytic_pfail(curve.overlaps, curve.weights, prepared.m)
         d_min_all = prepared.spectra[t].d_min
         rows.append(

@@ -4,7 +4,8 @@ Two orthogonal projectors decompose simultaneously into one- and
 two-dimensional blocks; the squared cosines of the principal angles between
 their ranges are the block overlaps ``d_k``.  They are computed here as the
 squared singular values of the cross-Gram matrix of the orthonormal bases,
-clamped to [0, 1].
+clamped to [0, 1].  The spectrum keeps only the SVD rotations of that
+cross-Gram: the principal vectors of P are ``p.basis @ spectrum.p_rotation``.
 
 Exact zero overlaps correspond to orthogonal sectors; they are excluded
 from ``d_min`` and surfaced through ``n_zero_overlaps`` so callers can flag
@@ -27,16 +28,17 @@ PROB_EXACT_TOL = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class JordanSpectrum:
-    """Principal overlaps between two projector ranges, with paired vectors.
+    """Principal overlaps between two projector ranges, in basis coordinates.
 
-    ``r_vectors[:, k]`` spans the k-th principal direction inside range(P),
-    ``q_vectors[:, k]`` the matching direction inside range(Q), and
+    ``p_rotation[:, k]`` holds the coordinates, in the basis of P, of the
+    k-th principal direction ``r_k`` inside range(P); ``q_rotation[:, k]``
+    those of the matching direction ``q_k`` in the basis of Q; and
     ``overlaps[k] = |<r_k|q_k>|**2``, sorted descending.
     """
 
     overlaps: np.ndarray
-    r_vectors: np.ndarray
-    q_vectors: np.ndarray
+    p_rotation: np.ndarray  # (rank_p, k)
+    q_rotation: np.ndarray  # (rank_q, k)
     rank_p: int
     rank_q: int
     zero_tol: float = ZERO_OVERLAP_TOL
@@ -53,6 +55,10 @@ class JordanSpectrum:
         return abs(self.rank_p - self.rank_q) + int(
             np.count_nonzero(self.overlaps <= self.zero_tol)
         )
+
+    def block_weights(self, coordinates: np.ndarray) -> np.ndarray:
+        """``|<r_k|x>|**2`` for a vector with ``coordinates`` in the basis of P."""
+        return np.abs(self.p_rotation.conj().T @ coordinates) ** 2
 
     def d_min_occupied(self, weights: np.ndarray, weight_tol: float = 1e-12) -> float:
         """Minimum overlap over the blocks carrying initial-state weight."""
@@ -81,19 +87,17 @@ class OverlapBoundReport:
 
 
 def jordan_decompose(p: GroundProjector, q: GroundProjector) -> JordanSpectrum:
-    """Principal overlaps and paired principal vectors of two projectors."""
+    """Principal overlaps of two projectors, with the SVD rotations of their
+    cross-Gram ``p.basis^H q.basis`` as the paired principal directions."""
     if p.dim != q.dim:
         raise DimensionMismatch(f"ambient dimensions differ: {p.dim} vs {q.dim}")
     cross = p.basis.conj().T @ q.basis
     u, s, vh = np.linalg.svd(cross)
     k = min(p.rank, q.rank)
-    overlaps = np.clip(s[:k] ** 2, 0.0, 1.0)
-    r_vectors = p.basis @ u[:, :k]
-    q_vectors = q.basis @ vh.conj().T[:, :k]
     return JordanSpectrum(
-        overlaps=overlaps,
-        r_vectors=r_vectors,
-        q_vectors=q_vectors,
+        overlaps=np.clip(s[:k] ** 2, 0.0, 1.0),
+        p_rotation=u[:, :k],
+        q_rotation=vh.conj().T[:, :k],
         rank_p=p.rank,
         rank_q=q.rank,
     )

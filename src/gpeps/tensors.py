@@ -8,8 +8,10 @@ The site tensor on the four virtual legs ``(l, t, r, b)`` is
 with ``D`` the re-weighting map and conjugated factors on the left/top
 legs.  ``A`` is Hermitian positive-semidefinite; its range is the
 G-symmetric subspace ``S_G`` and the PEPS physical space is stored in the
-compressed orthonormal basis of that range (dimension ``|G|**3`` for the
-regular representation).
+compressed orthonormal basis of that range.  Its dimension is the
+character count ``|G|^-1 sum_g |chi(g)|^4`` (``|G|**3`` for the regular
+representation), which every build checks.  The dense ``A`` is built to
+find that basis and is not kept.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .caps import max_amplitudes
-from .errors import DimensionMismatch, DimensionOverflow, InvalidKappa, SingularOnSymmetric
+from .errors import (
+    BoundViolation, DimensionMismatch, DimensionOverflow, InvalidKappa, SingularOnSymmetric,
+)
 from .groups import DeltaMap, SemiRegularRep, delta_map
 
 RANK_TOL = 1e-10          # relative singular-value threshold for S_G
@@ -31,15 +35,13 @@ KAPPA_REL_TOL = 0.01      # realized condition number vs target
 class SiteTensor:
     """Group-symmetrized site tensor with its compressed physical basis.
 
-    ``matrix`` is the dense map on the virtual space ``(C^D)^{x4}``;
-    ``sym_basis`` (shape ``D^4 x d``) orthonormally spans its range; and
-    ``compressed_map = sym_basis^dag @ matrix`` sends virtual legs to the
+    ``sym_basis`` (shape ``D^4 x d``) orthonormally spans the range of the
+    dense map ``A`` on the virtual space ``(C^D)^{x4}``, and
+    ``compressed_map = sym_basis^dag @ A`` sends virtual legs to the
     compressed physical space ``C^d``.
     """
 
     rep: SemiRegularRep
-    delta: DeltaMap
-    matrix: np.ndarray
     sym_basis: np.ndarray
     sym_dim: int
     compressed_map: np.ndarray
@@ -98,38 +100,36 @@ def _eq2_matrix(rep: SemiRegularRep, delta: DeltaMap) -> np.ndarray:
     return acc
 
 
-def build_site_tensor(
-    rep: SemiRegularRep,
-    delta: DeltaMap | None = None,
-    cap: int | None = None,
-) -> SiteTensor:
+def build_site_tensor(rep: SemiRegularRep) -> SiteTensor:
     """Assemble the site tensor and extract the symmetric-subspace basis.
 
     Raises :class:`DimensionOverflow` when the dense ``D^4 x D^4`` matrix
-    would exceed the amplitude cap.
+    would exceed the amplitude cap, and :class:`BoundViolation` when the
+    rank cut disagrees with the character count of ``S_G``.
     """
     D = rep.total_dim
-    if (D**4) ** 2 > max_amplitudes(cap):
+    if (D**4) ** 2 > max_amplitudes():
         raise DimensionOverflow(
-            f"site tensor needs {(D**4)**2} amplitudes (cap {max_amplitudes(cap)})"
+            f"site tensor needs {(D**4)**2} amplitudes (cap {max_amplitudes()})"
         )
-    if delta is None:
-        delta = delta_map(rep)
-    matrix = _eq2_matrix(rep, delta)
+    matrix = _eq2_matrix(rep, delta_map(rep))
     matrix = (matrix + matrix.conj().T) / 2.0  # clean Hermiticity at roundoff level
     evals, evecs = np.linalg.eigh(matrix)
     evals = evals[::-1]
     evecs = evecs[:, ::-1]
     keep = evals > RANK_TOL * max(evals[0], 0.0)
+    sym_dim = int(keep.sum())
+    # Delta is invertible and commutes with every U_g, so A has the rank of
+    # the group average of Ubar x Ubar x U x U: |G|^-1 sum_g |chi(g)|^4
+    count = round(float(np.mean(np.abs(np.trace(rep.matrices, axis1=1, axis2=2)) ** 4)))
+    if sym_dim != count:
+        raise BoundViolation(f"symmetric subspace has rank {sym_dim}, character count {count}")
     sym_basis = np.ascontiguousarray(evecs[:, keep])
-    compressed = sym_basis.conj().T @ matrix
     return SiteTensor(
         rep=rep,
-        delta=delta,
-        matrix=matrix,
         sym_basis=sym_basis,
-        sym_dim=int(keep.sum()),
-        compressed_map=compressed,
+        sym_dim=sym_dim,
+        compressed_map=sym_basis.conj().T @ matrix,
     )
 
 
@@ -230,7 +230,7 @@ def _right_translation_pattern(rep: SemiRegularRep) -> np.ndarray:
     return counts
 
 
-def verify_regroup_equivalence(rep: SemiRegularRep, cap: int | None = None) -> RegroupReport:
+def verify_regroup_equivalence(rep: SemiRegularRep) -> RegroupReport:
     """Check that regrouping reduces any semi-regular construction to the
     regular one.
 
@@ -245,7 +245,7 @@ def verify_regroup_equivalence(rep: SemiRegularRep, cap: int | None = None) -> R
     group = rep.group
     n = group.order
     D = rep.total_dim
-    budget = max_amplitudes(cap)
+    budget = max_amplitudes()
     if (n**4) ** 2 > budget or (D**4) ** 2 > budget:
         raise DimensionOverflow(
             f"regroup check needs {(n**4)**2} Gram amplitudes and "

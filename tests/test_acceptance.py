@@ -17,7 +17,6 @@ import gpeps as gp
 from gpeps.groups import trace_identity_deviation
 from gpeps.lattice import BoundaryTwist, decompress_state, projector_from_columns
 from gpeps.protocol import (
-    canonical_entering_state,
     curve_from_spectrum,
     empirical_step_failures,
     estimate_repetitions,
@@ -187,7 +186,9 @@ def lemma3_configs(z2, z3, lat22):
                     vec = gp.apply_site_operator(twisted[key], 0, deformation.matrix)
                     cols1[:, k] = vec / np.linalg.norm(vec)
                 spectrum = gp.jordan_decompose(p0, projector_from_columns(cols1, step=1))
-                curve = curve_from_spectrum(spectrum, entering, m_max=100)
+                curve = curve_from_spectrum(
+                    spectrum, p0.coefficients(entering.amplitudes), m_max=100
+                )
                 configs.append((group.name, kappa, seed, curve))
     return configs
 
@@ -212,10 +213,12 @@ def test_criterion_5_failure_law(lemma3_configs, z2, lat22):
                 )
             )
             for step in [0, 1]:
-                entering = canonical_entering_state(prepared, step)
-                curve = curve_from_spectrum(prepared.spectra[step], entering, m_max=4)
+                entering = gp.partial_peps_state(prepared.initial_state, defs, t=step)
+                curve = curve_from_spectrum(
+                    prepared.spectra[step], prepared.entering[step], m_max=4
+                )
                 for m in [1, 3]:
-                    fails = empirical_step_failures(prepared, step, m, trials=trials)
+                    fails = empirical_step_failures(prepared, step, m, trials, entering)
                     p = curve.pfail[m - 1]
                     sigma = np.sqrt(max(p * (1.0 - p), 1e-9) / trials)
                     assert abs(fails / trials - p) <= 3 * sigma, (seed, step, m)

@@ -1,12 +1,20 @@
 """CLI subcommands, exit codes, and reproducible outputs."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpeps.cli import main
+from gpeps.errors import MissingIdentity, MissingInverse, NonAssociative
+from gpeps.groups import build_group
 
 
 def _write(tmp_path, name, doc):
@@ -256,3 +264,71 @@ def test_simulate_bits_pinned(tmp_path, capsys):
     traces = [json.loads(line) for line in (tmp_path / "traces.jsonl").read_text().splitlines()]
     bits = [[step["bits"] for step in trace["steps"]] for trace in traces]
     assert hashlib.sha256(json.dumps(bits).encode()).hexdigest() == Z2_SIMULATE_BITS_SHA256
+
+
+# ---------------------------------------------------------------------------
+# random user group documents
+
+
+@st.composite
+def group_documents(draw):
+    """User group documents: relabelled cyclic groups, with or without their
+    irreps, and random, ragged, flat or scalar tables with stray entries."""
+    n = draw(st.integers(1, 4))
+    entries = st.integers(-1, n) | st.sampled_from([None, 2**64, "x"])
+    kind = draw(st.sampled_from(["cyclic", "square", "ragged", "flat", "scalar"]))
+    irreps = None
+    if kind == "cyclic":
+        label = draw(st.permutations(range(n)))
+        table = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[label[a]][label[b]] = label[(a + b) % n]
+        if draw(st.booleans()):
+            phases = np.exp(2j * np.pi * np.outer(range(n), np.argsort(label)) / n)
+            irreps = [
+                {"label": f"k{k}", "dim": 1,
+                 "matrices_re": row.real.reshape(n, 1, 1).tolist(),
+                 "matrices_im": row.imag.reshape(n, 1, 1).tolist()}
+                for k, row in enumerate(phases)
+            ]
+    elif kind == "square":
+        cells = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+        table = draw(st.lists(cells, min_size=n, max_size=n))
+    elif kind == "ragged":
+        table = draw(st.lists(st.lists(entries, max_size=4), max_size=4))
+    elif kind == "flat":
+        table = draw(st.lists(entries, max_size=4))
+    else:
+        table = draw(entries)
+    if irreps is None and draw(st.booleans()):
+        values = st.lists(st.floats(-1.0, 1.0).map(lambda v: [[v]]), min_size=n, max_size=n)
+        entry = st.fixed_dictionaries({
+            "label": st.sampled_from(["a", "b", "c"]), "dim": st.just(1),
+            "matrices_re": values, "matrices_im": values,
+        })
+        irreps = draw(st.lists(entry | st.integers(), max_size=n) | st.integers())
+    doc = {"name": draw(st.sampled_from(["user", "Z2", "S3"])), "mult_table": table}
+    if draw(st.booleans()):
+        doc["order"] = draw(st.sampled_from([n, n + 1, None, "x"]))
+    if irreps is not None:
+        doc["irreps"] = irreps
+    return doc
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(group_documents())
+def test_random_group_document_validates_or_exits_2(doc):
+    try:
+        build_group(doc)
+        table_valid = True
+    except (NonAssociative, MissingIdentity, MissingInverse, ValueError):
+        table_valid = False
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"group": doc}, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["verify-group", "--config", path])
+    assert code in (0, 2)
+    assert table_valid or code == 2

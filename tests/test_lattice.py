@@ -16,6 +16,7 @@ from gpeps.lattice import (
     BoundaryTwist,
     decompress_state,
 )
+from gpeps.tensors import _eq2_matrix
 
 from conftest import stack_columns
 
@@ -241,7 +242,7 @@ def test_projector_columns_site_symmetric(z2, lat22, z2_twisted):
     _, _, tensor = z2
     defs = [gp.random_deformation(tensor, 2.0, seed=80 + v, site=v) for v in range(4)]
     proj = gp.ground_projector(lat22, z2_twisted, defs, 1)
-    sym = tensor.matrix  # projector in the ambient leg space (regular rep)
+    sym = _eq2_matrix(tensor.rep, gp.delta_map(tensor.rep))  # ambient-space projector
     for k in range(proj.rank):
         state = gp.StateVector(lattice=lat22, site_dim=8, amplitudes=proj.basis[:, k])
         ambient = decompress_state(state, tensor)

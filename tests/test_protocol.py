@@ -15,7 +15,6 @@ from gpeps.lattice import projector_from_columns
 from gpeps.protocol import (
     aggregate_step_stats,
     analytic_pfail,
-    canonical_entering_state,
     curve_from_spectrum,
     empirical_step_failures,
     estimate_repetitions,
@@ -35,6 +34,11 @@ def z2_protocol(z2, lat22):
         lattice=lat22, tensor=tensor, deformations=defs, epsilon=0.1, m_policy="auto", seed=11
     )
     return prepare_protocol(config)
+
+
+def _dense_entering(prepared, t):
+    """Oracle: the canonical entering state of step ``t``, rebuilt densely."""
+    return gp.partial_peps_state(prepared.initial_state, prepared.config.deformations, t=t)
 
 
 def test_estimate_repetitions_frozen_values():
@@ -172,7 +176,7 @@ def test_failure_curve_identity_is_zero(z2, lat22):
     prepared = prepare_protocol(
         gp.ProtocolConfig(lattice=lat22, tensor=tensor, deformations=ident, epsilon=0.1)
     )
-    curve = curve_from_spectrum(prepared.spectra[0], prepared.initial_state, m_max=20)
+    curve = curve_from_spectrum(prepared.spectra[0], prepared.entering[0], m_max=20)
     assert np.abs(curve.pfail).max() < 1e-12
     assert curve.d_min == pytest.approx(1.0)
 
@@ -184,11 +188,13 @@ def test_failure_curve_requires_state_in_ground_space(z2_protocol):
     random_state = gp.StateVector(
         lattice=z2_protocol.config.lattice, site_dim=8, amplitudes=vec / np.linalg.norm(vec)
     )
+    p_0 = z2_protocol.projectors[0]
     with pytest.raises(StateOutsideProjector):
-        curve_from_spectrum(z2_protocol.spectra[0], random_state)
+        curve_from_spectrum(z2_protocol.spectra[0], p_0.coefficients(random_state.amplitudes))
     # the canonical entering state of a later step lies outside P_0 too
+    later = _dense_entering(z2_protocol, 2)
     with pytest.raises(StateOutsideProjector):
-        curve_from_spectrum(z2_protocol.spectra[0], canonical_entering_state(z2_protocol, 2))
+        curve_from_spectrum(z2_protocol.spectra[0], p_0.coefficients(later.amplitudes))
 
 
 def test_failure_curve_rejects_rank_drop(z2_protocol):
@@ -199,23 +205,22 @@ def test_failure_curve_rejects_rank_drop(z2_protocol):
     spectrum = jordan_decompose(p_0, smaller)
     assert (spectrum.rank_p, spectrum.rank_q) == (4, 1)
     with pytest.raises(BoundViolation, match="rank"):
-        curve_from_spectrum(spectrum, z2_protocol.initial_state)
+        curve_from_spectrum(spectrum, z2_protocol.entering[0])
 
 
 def test_failure_curve_below_bound(z2_protocol):
     for t in range(4):
-        entering = canonical_entering_state(z2_protocol, t)
-        curve = curve_from_spectrum(z2_protocol.spectra[t], entering, m_max=100)
+        curve = curve_from_spectrum(z2_protocol.spectra[t], z2_protocol.entering[t], m_max=100)
         assert np.all(curve.pfail <= curve.bound + 1e-12)
         assert np.all(np.diff(curve.pfail) <= 1e-15)
 
 
 def test_empirical_step_failures_match_curve(z2_protocol):
     trials = 600
-    entering = canonical_entering_state(z2_protocol, 1)
-    curve = curve_from_spectrum(z2_protocol.spectra[1], entering, m_max=3)
+    entering = _dense_entering(z2_protocol, 1)
+    curve = curve_from_spectrum(z2_protocol.spectra[1], z2_protocol.entering[1], m_max=3)
     for m in [1, 3]:
-        fails = empirical_step_failures(z2_protocol, 1, m, trials=trials)
+        fails = empirical_step_failures(z2_protocol, 1, m, trials, entering)
         p = curve.pfail[m - 1]
         sigma = np.sqrt(max(p * (1 - p), 1e-9) / trials)
         assert abs(fails / trials - p) <= 3 * sigma
@@ -230,6 +235,50 @@ def test_aggregate_step_stats(z2_protocol):
         assert 0.0 <= row["empirical_fail"] <= 1.0
         assert row["analytic_fail"] <= row["bound"] + 1e-12
         assert row["kappa"] == pytest.approx(2.0, rel=0.01)
+
+
+@pytest.fixture(scope="module")
+def z3_protocol(z3, lat22):
+    _, _, tensor = z3
+    defs = tuple(gp.random_deformation(tensor, 2.0, seed=40 + v, site=v) for v in range(4))
+    config = gp.ProtocolConfig(
+        lattice=lat22, tensor=tensor, deformations=defs, epsilon=0.1, m_policy=80, seed=1,
+        check_invariants=True,
+    )
+    return prepare_protocol(config)
+
+
+@pytest.mark.parametrize("name", ["z2_protocol", "z3_protocol"])
+def test_entering_coordinates_match_dense_oracle(name, request):
+    prepared = request.getfixturevalue(name)
+    assert len(prepared.entering) == prepared.n_steps
+    for t, coordinates in enumerate(prepared.entering):
+        p_t = prepared.projectors[t]
+        oracle = p_t.coefficients(_dense_entering(prepared, t).amplitudes)
+        assert coordinates.shape == (p_t.rank,)
+        assert np.abs(coordinates - oracle).max() < 1e-12, t
+        spectrum = prepared.spectra[t]
+        assert spectrum.p_rotation.shape[0] == p_t.rank
+        assert spectrum.q_rotation.shape[0] == prepared.projectors[t + 1].rank
+
+
+@pytest.mark.parametrize("name", ["z2_protocol", "z3_protocol"])
+def test_analytic_fail_matches_dense_law(name, request):
+    # the law from coordinates against |<r_k|x>|^2 with dense principal vectors
+    prepared = request.getfixturevalue(name)
+    rows = aggregate_step_stats(prepared, [])
+    for t, row in enumerate(rows):
+        r_vectors = prepared.projectors[t].basis @ prepared.spectra[t].p_rotation
+        entering = _dense_entering(prepared, t).amplitudes
+        weights = np.abs(r_vectors.conj().T @ entering) ** 2
+        dense = analytic_pfail(prepared.spectra[t].overlaps, weights, prepared.m)
+        assert row["analytic_fail"] == pytest.approx(dense, rel=1e-12, abs=0.0), t
+
+
+def test_invariant_monitor_clean_z3(z3_protocol):
+    for trial in range(3):
+        trace = run_protocol(z3_protocol, trial=trial)  # BoundViolation would propagate
+        assert trace.success
 
 
 def test_trivial_group_runs_injective_protocol(lat22):

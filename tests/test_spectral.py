@@ -37,8 +37,8 @@ def test_identical_projectors_full_overlap():
 
 def test_orthogonal_ranges_give_zero():
     basis = np.eye(10, dtype=complex)
-    p = gp.GroundProjector(step=0, basis=basis[:, :3], rank=3, tol=1e-10)
-    q = gp.GroundProjector(step=1, basis=basis[:, 3:6], rank=3, tol=1e-10)
+    p = projector_from_columns(basis[:, :3])
+    q = projector_from_columns(basis[:, 3:6], step=1)
     spec = jordan_decompose(p, q)
     assert spec.d_min == 0.0
     assert spec.n_zero_overlaps == 3
@@ -54,8 +54,8 @@ def test_rank_one_pair_at_45_degrees():
 
 
 def test_dimension_mismatch():
-    p = gp.GroundProjector(step=0, basis=np.eye(4, dtype=complex)[:, :1], rank=1, tol=1e-10)
-    q = gp.GroundProjector(step=0, basis=np.eye(5, dtype=complex)[:, :1], rank=1, tol=1e-10)
+    p = projector_from_columns(np.eye(4, dtype=complex)[:, :1])
+    q = projector_from_columns(np.eye(5, dtype=complex)[:, :1])
     with pytest.raises(DimensionMismatch):
         jordan_decompose(p, q)
 
@@ -67,21 +67,26 @@ def test_jordan_relations_random_subspaces():
     spec = jordan_decompose(p, q)
     assert np.all(spec.overlaps >= -1e-12) and np.all(spec.overlaps <= 1 + 1e-12)
     k = spec.overlaps.size
+    assert spec.p_rotation.shape == (5, k) and spec.q_rotation.shape == (7, k)
+    r_vectors = p.basis @ spec.p_rotation
+    q_vectors = q.basis @ spec.q_rotation
     # paired vectors reproduce the overlaps and are cross-orthogonal
-    cross = spec.r_vectors.conj().T @ spec.q_vectors
+    cross = r_vectors.conj().T @ q_vectors
     assert np.abs(np.abs(np.diag(cross)) ** 2 - spec.overlaps).max() < 1e-10
     off = cross - np.diag(np.diag(cross))
     assert np.abs(off).max() < 1e-10
     # simultaneous block structure: Q maps r_k into span{r_k, q_k}
     for j in range(k):
-        r_j = spec.r_vectors[:, j]
+        r_j = r_vectors[:, j]
         q_img = q.project(r_j)
-        block = projector_from_columns(
-            np.stack([r_j, spec.q_vectors[:, j]], axis=1)
-        )
+        block = projector_from_columns(np.stack([r_j, q_vectors[:, j]], axis=1))
         assert np.linalg.norm(q_img - block.project(q_img)) < 1e-10
-        p_img = p.project(spec.q_vectors[:, j])
+        p_img = p.project(q_vectors[:, j])
         assert np.linalg.norm(p_img - block.project(p_img)) < 1e-10
+    # block weights in coordinates are the dense |<r_k|x>|^2
+    x = rng.normal(size=40) + 1j * rng.normal(size=40)
+    dense = np.abs(r_vectors.conj().T @ x) ** 2
+    assert np.abs(spec.block_weights(p.coefficients(x)) - dense).max() < 1e-12
 
 
 def test_jordan_symmetric_in_arguments():
@@ -126,8 +131,8 @@ def test_verify_overlap_bound_pass_and_fail():
     assert report.passed and report.margin > 0
     fake = gp.JordanSpectrum(
         overlaps=np.array([0.9, 0.1]),
-        r_vectors=np.eye(4, dtype=complex)[:, :2],
-        q_vectors=np.eye(4, dtype=complex)[:, :2],
+        p_rotation=np.eye(2, dtype=complex),
+        q_rotation=np.eye(2, dtype=complex),
         rank_p=2,
         rank_q=2,
     )
@@ -138,8 +143,8 @@ def test_verify_overlap_bound_pass_and_fail():
 def test_spectrum_csv_rows():
     fake = gp.JordanSpectrum(
         overlaps=np.array([1.0, 0.5]),
-        r_vectors=np.eye(4, dtype=complex)[:, :2],
-        q_vectors=np.eye(4, dtype=complex)[:, :2],
+        p_rotation=np.eye(2, dtype=complex),
+        q_rotation=np.eye(2, dtype=complex),
         rank_p=2,
         rank_q=2,
     )
@@ -153,7 +158,7 @@ def test_spectrum_csv_rows():
 
 def test_born_state_in_range(line):
     basis = np.eye(4, dtype=complex)[:, :2]
-    proj = gp.GroundProjector(step=0, basis=basis, rank=2, tol=1e-10)
+    proj = projector_from_columns(basis)
     state = _state(line, basis[:, 0])
     rng = measurement_stream(0)
     out = gp.born_measure(state, proj, rng)
@@ -163,7 +168,7 @@ def test_born_state_in_range(line):
 
 def test_born_state_orthogonal(line):
     basis = np.eye(4, dtype=complex)[:, :2]
-    proj = gp.GroundProjector(step=0, basis=basis, rank=2, tol=1e-10)
+    proj = projector_from_columns(basis)
     state = _state(line, np.eye(4, dtype=complex)[:, 3])
     out = gp.born_measure(state, proj, measurement_stream(0))
     assert not out.inside and out.probability == pytest.approx(1.0)
@@ -171,7 +176,7 @@ def test_born_state_orthogonal(line):
 
 def test_born_45_degree_statistics(line):
     basis = np.array([[1.0], [0.0]], dtype=complex)
-    proj = gp.GroundProjector(step=0, basis=basis, rank=1, tol=1e-10)
+    proj = projector_from_columns(basis)
     state = _state(line, np.array([1.0, 1.0], dtype=complex))
     rng = measurement_stream(123)
     trials = 10_000
@@ -211,7 +216,7 @@ def test_born_idempotent(line):
 def test_born_consumes_one_draw_per_call(line):
     # replay alignment: deterministic outcomes still consume the stream
     basis = np.eye(4, dtype=complex)[:, :1]
-    proj = gp.GroundProjector(step=0, basis=basis, rank=1, tol=1e-10)
+    proj = projector_from_columns(basis)
     state = _state(line, basis[:, 0])
     rng_a = measurement_stream(7)
     gp.born_measure(state, proj, rng_a)  # probability exactly 1
@@ -221,7 +226,7 @@ def test_born_consumes_one_draw_per_call(line):
 
 
 def test_born_dimension_mismatch(line):
-    proj = gp.GroundProjector(step=0, basis=np.eye(4, dtype=complex)[:, :1], rank=1, tol=1e-10)
+    proj = projector_from_columns(np.eye(4, dtype=complex)[:, :1])
     state = _state(line, np.ones(5, dtype=complex))
     with pytest.raises(DimensionMismatch):
         gp.born_measure(state, proj, measurement_stream(0))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import gpeps as gp
-from gpeps.errors import DimensionOverflow, InvalidKappa, SingularOnSymmetric
-from gpeps.tensors import deformation_from_dict, deformation_to_dict
+from gpeps.caps import ENV_VAR
+from gpeps.errors import BoundViolation, DimensionOverflow, InvalidKappa, SingularOnSymmetric
+from gpeps.tensors import _eq2_matrix, deformation_from_dict, deformation_to_dict
 
 
 def _symmetrizer_oracle(rep):
@@ -19,11 +20,16 @@ def _symmetrizer_oracle(rep):
     return acc / rep.group.order
 
 
+def _site_matrix(st):
+    """Oracle: the dense site map ``A`` the tensor was compressed from."""
+    return _eq2_matrix(st.rep, gp.delta_map(st.rep))
+
+
 def test_trivial_group_tensor_is_scaled_identity():
     rep = gp.semi_regular_rep(gp.build_group("trivial"), {"trivial": 2})
     st = gp.build_site_tensor(rep)
     # single-element sum; the re-weighting carries the 1/D normalization
-    assert np.abs(st.matrix - np.eye(16) / 2.0).max() < 1e-14
+    assert np.abs(_site_matrix(st) - np.eye(16) / 2.0).max() < 1e-14
     assert st.sym_dim == 16
 
 
@@ -35,13 +41,13 @@ def test_regular_sym_dim_is_group_order_cubed(name, want, request):
     oracle = _symmetrizer_oracle(rep)
     assert np.linalg.matrix_rank(oracle, tol=1e-10) == want
     # for the regular representation the tensor is that projector
-    assert np.abs(st.matrix - oracle).max() < 1e-12
+    assert np.abs(_site_matrix(st) - oracle).max() < 1e-12
 
 
 @pytest.mark.parametrize("name", ["Z2", "Z3"])
 def test_regular_tensor_projector_properties(name):
     st = gp.build_site_tensor(gp.regular_rep(gp.build_group(name)))
-    a = st.matrix
+    a = _site_matrix(st)
     assert np.abs(a - a.conj().T).max() < 1e-10
     assert np.abs(a @ a - a).max() < 1e-10
 
@@ -55,11 +61,13 @@ def test_sym_basis_isometry_and_eigenrelation(name, mults):
     rep = gp.regular_rep(group) if mults is None else gp.semi_regular_rep(group, mults)
     st = gp.build_site_tensor(rep)
     b = st.sym_basis
+    a = _site_matrix(st)
     assert np.abs(b.conj().T @ b - np.eye(st.sym_dim)).max() < 1e-12
     # columns are eigenvectors: A b = b diag(lambda)
-    lam = np.diag(b.conj().T @ st.matrix @ b)
-    assert np.abs(st.matrix @ b - b * lam).max() < 1e-10
+    lam = np.diag(b.conj().T @ a @ b)
+    assert np.abs(a @ b - b * lam).max() < 1e-10
     assert np.all(lam.real > 0)
+    assert np.abs(st.compressed_map - b.conj().T @ a).max() < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -70,17 +78,50 @@ def test_tensor_group_invariance(name, mults):
     # A * (Ubar x Ubar x U x U) = A for every group element
     group = gp.build_group(name)
     rep = gp.regular_rep(group) if mults is None else gp.semi_regular_rep(group, mults)
-    st = gp.build_site_tensor(rep)
+    a = _site_matrix(gp.build_site_tensor(rep))
     for g in range(group.order):
         u = rep.matrices[g]
         w = np.kron(np.kron(np.kron(u.conj(), u.conj()), u), u)
-        assert np.abs(st.matrix @ w - st.matrix).max() < 1e-10
+        assert np.abs(a @ w - a).max() < 1e-10
 
 
-def test_site_tensor_dimension_overflow():
+def test_site_tensor_dimension_overflow(monkeypatch):
     rep = gp.regular_rep(gp.build_group("Z3"))
+    monkeypatch.setenv(ENV_VAR, "1000")
     with pytest.raises(DimensionOverflow):
-        gp.build_site_tensor(rep, cap=1000)
+        gp.build_site_tensor(rep)
+
+
+@pytest.mark.parametrize(
+    "name,mults",
+    [
+        ("Z2", None),
+        ("Z2", {"chi0": 2, "chi1": 1}),
+        ("Z3", None),
+        ("Z3", {"chi0": 2, "chi1": 1, "chi2": 1}),
+        ("Z4", None),
+        ("Z4", {"chi0": 1, "chi1": 2, "chi2": 1, "chi3": 1}),
+        ("S3", None),
+        ("S3", {"A1": 1, "A2": 2, "E": 1}),
+    ],
+)
+def test_sym_dim_is_character_count(name, mults):
+    # dim S_G = |G|^-1 sum_g |chi(g)|^4, chi summed over the irrep blocks
+    group = gp.build_group(name)
+    rep = gp.regular_rep(group) if mults is None else gp.semi_regular_rep(group, mults)
+    chi = sum(r * irrep.characters for irrep, r in rep.blocks)
+    count = np.mean(np.abs(chi) ** 4)
+    st = gp.build_site_tensor(rep)
+    assert st.sym_dim == pytest.approx(count, abs=1e-9)
+    oracle = _eq2_matrix(rep, gp.delta_map(rep))
+    assert np.linalg.matrix_rank(oracle, tol=1e-10 * np.abs(oracle).max()) == st.sym_dim
+
+
+def test_sym_dim_off_character_count_raises(monkeypatch):
+    # a rank cut that keeps nothing disagrees with the character count
+    monkeypatch.setattr("gpeps.tensors.RANK_TOL", 2.0)
+    with pytest.raises(BoundViolation, match="character count"):
+        gp.build_site_tensor(gp.regular_rep(gp.build_group("Z2")))
 
 
 def test_identity_deformation_kappa_one(z2):
@@ -198,10 +239,11 @@ def test_regroup_gram_pattern_counts(z3):
     assert pattern.sum() == n**4 * n  # each column meets |G| rows
 
 
-def test_regroup_dimension_overflow(z3):
+def test_regroup_dimension_overflow(z3, monkeypatch):
     _, rep, _ = z3
+    monkeypatch.setenv(ENV_VAR, "100")
     with pytest.raises(DimensionOverflow):
-        gp.verify_regroup_equivalence(rep, cap=100)
+        gp.verify_regroup_equivalence(rep)
 
 
 def test_deformation_serialization_roundtrip(z2):
