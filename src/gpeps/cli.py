@@ -440,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     except DimensionOverflow as exc:
         print(f"resource cap: {exc} (cap {max_amplitudes()} amplitudes)", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ConfigError, GPepsError, KeyError, ValueError) as exc:
+    except (ConfigError, GPepsError, ValueError) as exc:
         print(f"config/validation error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -248,6 +248,8 @@ def build_group(spec: str | Mapping | GroupTable) -> GroupTable:
         if name == "D4":
             return _validate_table("D4", _d4_table())
         raise ValueError(f"unknown built-in group {spec!r}")
+    if "mult_table" not in spec:
+        raise ValueError("group document lacks a 'mult_table'")
     try:
         mult = np.asarray(spec["mult_table"], dtype=int)
         order = int(spec["order"]) if "order" in spec else None
@@ -421,7 +423,7 @@ def _resolve_label(group: GroupTable, label: str, known: set[str]) -> str:
     alias = (_ALIASES if _ZN_RE.match(group.name) else _ALIASES_NONABELIAN).get(label)
     if alias in known:
         return alias
-    raise KeyError(f"unknown irrep label {label!r} for group {group.name}")
+    raise ValueError(f"unknown irrep label {label!r} for group {group.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +540,6 @@ def load_group_document(doc: Mapping) -> tuple[GroupTable, list[Irrep]]:
             im_part = np.asarray(entry.get("matrices_im", np.zeros_like(re_part)), dtype=float)
             mats = re_part + 1j * im_part
             supplied.append(Irrep(str(entry.get("label", f"irrep{k}")), int(entry["dim"]), mats))
-    except (TypeError, AttributeError, OverflowError) as exc:
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed 'irreps' list: {exc}") from exc
     return group, irreps(group, supplied)

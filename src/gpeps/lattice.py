@@ -33,6 +33,7 @@ LEG_L, LEG_T, LEG_R, LEG_B = range(4)
 
 ZERO_STATE_TOL = 1e-14
 PROJECTOR_RANK_TOL = 1e-10
+BLOCK_BYTES = 1 << 18  # row blocks of a column stack: about 256 KiB each
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,9 @@ class GroundProjector:
         return self.basis.shape[0]
 
     def coefficients(self, vector: np.ndarray) -> np.ndarray:
-        return self.basis.conj().T @ vector
+        """``basis^H vector``, conjugating the vector instead of the basis
+        so that the basis is read once and never copied."""
+        return (vector.conj() @ self.basis).conj()
 
     def project(self, vector: np.ndarray) -> np.ndarray:
         return self.basis @ self.coefficients(vector)
@@ -137,15 +140,41 @@ class GroundProjector:
         return float(np.linalg.norm(self.coefficients(vec)) ** 2)
 
 
+def block_rows(width: int) -> int:
+    """Rows in one cache-sized block of a ``(dim, width)`` complex stack
+    (never fewer than ``width``)."""
+    return max(width, BLOCK_BYTES // (16 * max(width, 1)))
+
+
 def projector_from_columns(
     columns: np.ndarray, step: int = 0, tol: float = PROJECTOR_RANK_TOL
 ) -> GroundProjector:
-    """Rank-revealing orthonormalization of a (dim, m) column stack
-    ``U S V^H``; the kept rows of ``S V^H`` are the columns' coordinates."""
-    u, s, vh = np.linalg.svd(columns, full_matrices=False)
+    """Rank-revealing orthonormalization of a (dim, m) column stack.
+
+    A blocked tall-skinny QR (Demmel et al., arXiv:0808.2664) factors each
+    cache-sized row block ``A_i = Q_i R_i`` and then the stack of the small
+    ``R_i`` as ``Q_s R``; the SVD ``R = U S V^H`` of the final ``m x m``
+    factor reveals the rank.  The basis is ``Q_i (Q_s U)_i`` block by block,
+    stored column-major so that every basis vector is contiguous, and the
+    kept rows of ``S V^H`` are the columns' coordinates.
+    """
+    dim, m = columns.shape
+    rows = block_rows(m)
+    full = dim - dim % rows
+    # one batched QR over the whole blocks, one for the shorter last block:
+    # a single Q allocation fragments the heap less than one per block
+    q_full, r_full = np.linalg.qr(columns[:full].reshape(-1, rows, m))
+    q_last, r_last = np.linalg.qr(columns[full:])
+    q_stack, r = np.linalg.qr(np.concatenate([r_full.reshape(-1, m), r_last]))
+    u, s, vh = np.linalg.svd(r, full_matrices=False)
     keep = s > tol * (s[0] if s.size else 0.0)
+    rotation = q_stack @ u[:, keep]
+    basis = np.empty((dim, int(keep.sum())), dtype=rotation.dtype, order="F")
+    for i, q_block in enumerate(q_full):
+        np.matmul(q_block, rotation[i * m : (i + 1) * m], out=basis[i * rows : (i + 1) * rows])
+    np.matmul(q_last, rotation[len(q_full) * m :], out=basis[full:])
     return GroundProjector(
-        step=step, basis=np.ascontiguousarray(u[:, keep]), rank=int(keep.sum()),
+        step=step, basis=basis, rank=basis.shape[1],
         column_coordinates=s[keep, None] * vh[keep],
     )
 
@@ -241,7 +270,8 @@ def _normalized(arr: np.ndarray, t: int, out: np.ndarray | None = None) -> np.nd
     norm = np.linalg.norm(arr)
     if norm <= ZERO_STATE_TOL:
         raise ZeroState(f"partial PEPS with t = {t} deformations is the zero vector")
-    return np.divide(arr, norm, out=out)
+    # the same bits as np.divide on complex arrays, without the complex division
+    return np.multiply(arr, 1.0 / norm, out=out)
 
 
 def apply_site_operator(state: StateVector, site: int, matrix: np.ndarray) -> np.ndarray:

@@ -235,12 +235,11 @@ def _block_monitor(prepared: PreparedProtocol, t: int, entering: StateVector):
     r_vectors = previous.basis @ spectrum.p_rotation[:, occupied]
     q_vectors = target.basis @ spectrum.q_rotation[:, occupied]
     # rank-revealing: d_k = 1 blocks are 1-dim
-    q = projector_from_columns(np.concatenate([r_vectors, q_vectors], axis=1)).basis
+    blocks = projector_from_columns(np.concatenate([r_vectors, q_vectors], axis=1))
     d_min_occ = spectrum.d_min_occupied(weights)
 
     def check(state: StateVector, forward_probability: float | None) -> None:
-        outside = state.amplitudes - q @ (q.conj().T @ state.amplitudes)
-        leak = float(np.linalg.norm(outside))
+        leak = float(np.linalg.norm(state.amplitudes - blocks.project(state.amplitudes)))
         if leak > CONTAINMENT_TOL:
             raise BoundViolation(
                 f"state left its principal blocks (leak {leak:.3e})"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolation, DimensionMismatch
-from .lattice import GroundProjector, StateVector
+from .lattice import GroundProjector, StateVector, block_rows
 
 ZERO_OVERLAP_TOL = 1e-12
 BOUND_SLACK = 1e-9
@@ -91,7 +91,10 @@ def jordan_decompose(p: GroundProjector, q: GroundProjector) -> JordanSpectrum:
     cross-Gram ``p.basis^H q.basis`` as the paired principal directions."""
     if p.dim != q.dim:
         raise DimensionMismatch(f"ambient dimensions differ: {p.dim} vs {q.dim}")
-    cross = p.basis.conj().T @ q.basis
+    rows = block_rows(p.rank)  # conjugate cache-sized blocks, never a whole basis
+    cross = sum(
+        p.basis[i : i + rows].conj().T @ q.basis[i : i + rows] for i in range(0, p.dim, rows)
+    )
     u, s, vh = np.linalg.svd(cross)
     k = min(p.rank, q.rank)
     return JordanSpectrum(
@@ -129,14 +132,17 @@ def born_measure(
 
     Consumes exactly one uniform draw per call (also in the deterministic
     cases, to keep replay streams aligned); outcomes with probability
-    within ``PROB_EXACT_TOL`` of 0 or 1 are forced exactly.
+    within ``PROB_EXACT_TOL`` of 0 or 1 are forced exactly.  The basis is
+    read twice (coefficients, then the inside component), and the post-
+    measurement state is collapsed in place in the buffer of that inside
+    component; the input state is never written.
     """
     if projector.dim != state.dim:
         raise DimensionMismatch(
             f"projector dim {projector.dim} vs state dim {state.dim}"
         )
     coeff = projector.coefficients(state.amplitudes)
-    inside_component = projector.basis @ coeff
+    post = projector.basis @ coeff  # the inside component, collapsed in place
     p_inside = min(float(np.linalg.norm(coeff) ** 2), 1.0)
     draw = rng.random()
     if p_inside >= 1.0 - PROB_EXACT_TOL:
@@ -145,12 +151,14 @@ def born_measure(
         inside = False
     else:
         inside = draw < p_inside
+    # numpy divides a complex array by a real scalar as a product with its
+    # reciprocal, so scaling by the reciprocal gives the same bits, faster
     if inside:
-        post = inside_component / np.sqrt(p_inside)
+        post *= 1.0 / np.sqrt(p_inside)
         probability = p_inside
     else:
-        outside_component = state.amplitudes - inside_component
-        post = outside_component / np.linalg.norm(outside_component)
+        np.subtract(state.amplitudes, post, out=post)
+        post *= 1.0 / np.linalg.norm(post)
         probability = 1.0 - p_inside
     new_state = StateVector(
         lattice=state.lattice, site_dim=state.site_dim, amplitudes=post

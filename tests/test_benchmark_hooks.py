@@ -65,5 +65,24 @@ def test_benchmark_hooks_install_run_uninstall(perfbench, tmp_path, capsys):
     } <= names
     builds = [s for s in tracer.spans if s.name == "tensors.build_site_tensor"]
     assert len(builds) == 2  # one per command
+
+    # the layer metrics attribute the dense kernels to their callers by
+    # parentage: one coefficients call per Born measurement plus the final
+    # readout of each trial, and every projector build inside the preparation
+    sweep_main = [s.id for s in tracer.spans if s.name == "cli.main"][1]
+    simulate = [s for s in tracer.spans if s.id < sweep_main]
+    by_id = {s.id: s for s in tracer.spans}
+    parent_name = {s.id: by_id[s.parent].name for s in simulate if s.parent is not None}
+    measures = [s for s in simulate if s.name == "spectral.born_measure"]
+    coefficients = [s for s in simulate if s.name == "lattice.GroundProjector.coefficients"]
+    under_measure = [s for s in coefficients if parent_name[s.id] == "spectral.born_measure"]
+    assert measures
+    assert len({s.parent for s in under_measure}) == len(under_measure) == len(measures)
+    assert len(coefficients) == len(measures) + 3  # final readout of each trial
+    assert all(parent_name[s.id] in ("spectral.born_measure", "protocol.run_protocol")
+               for s in coefficients)
+    builds = [s for s in simulate if s.name == "lattice.projector_from_columns"]
+    assert len(builds) == 3  # P_0, P_1, P_2 on the 2x1 torus
+    assert all(parent_name[s.id] == "protocol.prepare_protocol" for s in builds)
     for name, original in originals.items():
         assert getattr(cli, name) is original, name

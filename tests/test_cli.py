@@ -5,13 +5,17 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpeps
 from gpeps.cli import main
 from gpeps.errors import MissingIdentity, MissingInverse, NonAssociative
 from gpeps.groups import build_group
@@ -200,6 +204,18 @@ def test_unknown_group_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"group": {"name": "x", "irreps": []}},
+    {"group": "Z2", "rep": {"multiplicities": {"trivial": 1, "sign": 1, "nope": 1}}},
+], ids=["no-mult-table", "unknown-irrep-label"])
+def test_verify_group_bad_document_exit_2(tmp_path, capsys, doc):
+    code = main(["verify-group", "--config", _write(tmp_path, "g.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "config/validation error" in captured.err
+
+
 def test_missing_config_exit_2(capsys):
     code = main(["verify-group", "--config", "/nonexistent/x.json"])
     capsys.readouterr()
@@ -273,10 +289,11 @@ def test_simulate_bits_pinned(tmp_path, capsys):
 @st.composite
 def group_documents(draw):
     """User group documents: relabelled cyclic groups, with or without their
-    irreps, and random, ragged, flat or scalar tables with stray entries."""
+    irreps (one of which may lack a key), random, ragged, flat or scalar
+    tables with stray entries, and documents with no table."""
     n = draw(st.integers(1, 4))
     entries = st.integers(-1, n) | st.sampled_from([None, 2**64, "x"])
-    kind = draw(st.sampled_from(["cyclic", "square", "ragged", "flat", "scalar"]))
+    kind = draw(st.sampled_from(["cyclic", "square", "ragged", "flat", "scalar", "missing"]))
     irreps = None
     if kind == "cyclic":
         label = draw(st.permutations(range(n)))
@@ -292,6 +309,8 @@ def group_documents(draw):
                  "matrices_im": row.imag.reshape(n, 1, 1).tolist()}
                 for k, row in enumerate(phases)
             ]
+            if draw(st.booleans()):
+                del irreps[0][draw(st.sampled_from(["dim", "matrices_re"]))]
     elif kind == "square":
         cells = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
         table = draw(st.lists(cells, min_size=n, max_size=n))
@@ -299,8 +318,10 @@ def group_documents(draw):
         table = draw(st.lists(st.lists(entries, max_size=4), max_size=4))
     elif kind == "flat":
         table = draw(st.lists(entries, max_size=4))
-    else:
+    elif kind == "scalar":
         table = draw(entries)
+    else:
+        table = None
     if irreps is None and draw(st.booleans()):
         values = st.lists(st.floats(-1.0, 1.0).map(lambda v: [[v]]), min_size=n, max_size=n)
         entry = st.fixed_dictionaries({
@@ -308,7 +329,9 @@ def group_documents(draw):
             "matrices_re": values, "matrices_im": values,
         })
         irreps = draw(st.lists(entry | st.integers(), max_size=n) | st.integers())
-    doc = {"name": draw(st.sampled_from(["user", "Z2", "S3"])), "mult_table": table}
+    doc = {"name": draw(st.sampled_from(["user", "Z2", "S3"]))}
+    if kind != "missing":
+        doc["mult_table"] = table
     if draw(st.booleans()):
         doc["order"] = draw(st.sampled_from([n, n + 1, None, "x"]))
     if irreps is not None:
@@ -332,3 +355,21 @@ def test_random_group_document_validates_or_exits_2(doc):
             code = main(["verify-group", "--config", path])
     assert code in (0, 2)
     assert table_valid or code == 2
+
+
+def test_runtime_leaves_scipy_unloaded(tmp_path):
+    # scipy is a test dependency only; importing it would add to every run's RSS
+    cfg = _write(tmp_path, "s.json", {"group": "Z2", "lattice": {"width": 2, "height": 1},
+                                      "trials": 2, "seed": 3})
+    script = (
+        "import sys\n"
+        "from gpeps.cli import main\n"
+        f"code = main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(gpeps.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"

@@ -178,6 +178,16 @@ def test_semi_regular_dimension():
     assert not rep.is_regular
 
 
+def test_user_document_without_table_rejected():
+    with pytest.raises(ValueError, match="mult_table"):
+        gp.build_group({"name": "x"})
+
+
+def test_unknown_irrep_label_rejected():
+    with pytest.raises(ValueError, match="unknown irrep label"):
+        gp.semi_regular_rep(gp.build_group("Z2"), {"trivial": 1, "sign": 1, "nope": 1})
+
+
 def test_zero_multiplicity_rejected():
     g = gp.build_group("Z2")
     with pytest.raises(ZeroMultiplicity):

@@ -8,13 +8,16 @@ import pytest
 
 import gpeps as gp
 from gpeps.errors import DimensionMismatch, DimensionOverflow, NonCommutingTwist, ZeroState
+from gpeps import lattice
 from gpeps.lattice import (
     LEG_B,
     LEG_L,
     LEG_R,
     LEG_T,
+    PROJECTOR_RANK_TOL,
     BoundaryTwist,
     decompress_state,
+    projector_from_columns,
 )
 from gpeps.tensors import _eq2_matrix
 
@@ -312,3 +315,61 @@ def test_ground_projectors_rejects_steps_out_of_range(z2, lat22, z2_twisted):
     for steps in [(-1, 0), (4, 5)]:
         with pytest.raises(ValueError):
             gp.ground_projectors(lat22, z2_twisted.copy(), ident, steps)
+
+
+# ---------------------------------------------------------------------------
+# the blocked QR build against the former full SVD
+
+
+def _svd_oracle(columns):
+    """Basis and kept singular values of a full SVD, with the same rank rule."""
+    u, s, _ = np.linalg.svd(columns, full_matrices=False)
+    keep = s > PROJECTOR_RANK_TOL * s[0]
+    return u[:, keep], s[keep]
+
+
+def _assert_matches_svd_oracle(columns):
+    projector = projector_from_columns(columns)
+    oracle, s = _svd_oracle(columns)
+    assert projector.rank == projector.basis.shape[1] == oracle.shape[1]
+    assert projector.column_coordinates.shape == (projector.rank, columns.shape[1])
+    # the kept rows of S V^H have the singular values as their norms
+    singular = np.linalg.norm(projector.column_coordinates, axis=1)
+    assert np.abs(singular - s).max() <= 1e-13 * s[0]
+    cos2 = np.linalg.svd(projector.basis.conj().T @ oracle, compute_uv=False) ** 2
+    assert np.abs(cos2 - 1.0).max() < 1e-12
+    gram = projector.basis.conj().T @ projector.basis
+    assert np.abs(gram - np.eye(projector.rank)).max() < 1e-13
+    assert np.abs(projector.basis @ projector.column_coordinates - columns).max() < 1e-12
+
+
+# (dim, m, rows per block or None for the default blocks, zero column)
+TSQR_SHAPES = {
+    "dim-not-multiple-of-block": (1000, 6, 64, None),
+    "last-block-thinner-than-m": (3 * 64 + 3, 6, 64, None),
+    "dim-below-m": (4, 7, None, None),
+    "default-blocks": (5000, 4, None, None),
+    "zero-column": (300, 5, 32, 2),
+}
+
+
+@pytest.mark.parametrize("dim,m,rows,zero", TSQR_SHAPES.values(), ids=list(TSQR_SHAPES))
+def test_projector_from_columns_matches_svd(monkeypatch, dim, m, rows, zero):
+    if rows is not None:
+        monkeypatch.setattr(lattice, "BLOCK_BYTES", 16 * m * rows)
+        assert lattice.block_rows(m) == rows
+    rng = np.random.default_rng(dim + m)
+    columns = rng.normal(size=(dim, m)) + 1j * rng.normal(size=(dim, m))
+    columns /= np.linalg.norm(columns, axis=0)
+    if zero is not None:
+        columns[:, zero] = 0.0
+    _assert_matches_svd_oracle(columns)
+
+
+def test_projector_from_columns_matches_svd_on_s3_stack():
+    # S3 2x1: 18 twisted columns spanning the 8 anyon sectors
+    tensor = gp.build_site_tensor(gp.regular_rep(gp.build_group("S3")))
+    columns = gp.twisted_states(gp.TorusLattice.build(2, 1), tensor).T
+    assert columns.shape[1] == 18
+    assert _svd_oracle(columns)[0].shape[1] == 8
+    _assert_matches_svd_oracle(columns)

@@ -126,6 +126,16 @@ def test_protocol_replay_deterministic(z2_protocol):
     assert trace_to_dict(c) != trace_to_dict(a)
 
 
+def test_trials_leave_initial_state_unchanged_in_any_order(z2_protocol):
+    before = z2_protocol.initial_state.amplitudes.copy()
+    forward = [trace_to_dict(tr) for tr in _trials(z2_protocol, 30)]
+    assert any(tr["steps"][0]["bits"][0] == 0 for tr in forward)  # both outcomes on it
+    assert np.array_equal(z2_protocol.initial_state.amplitudes, before)
+    backward = [trace_to_dict(run_protocol(z2_protocol, trial=k)) for k in reversed(range(30))]
+    assert backward[::-1] == forward
+    assert np.array_equal(z2_protocol.initial_state.amplitudes, before)
+
+
 def test_step_exhaustion_recorded_and_strict(z2, lat22):
     _, _, tensor = z2
     defs = tuple(gp.random_deformation(tensor, 8.0, seed=300 + v, site=v) for v in range(4))

@@ -225,6 +225,25 @@ def test_born_consumes_one_draw_per_call(line):
     assert rng_a.random() == rng_b.random()
 
 
+def test_born_leaves_input_state_unchanged(line):
+    # the collapse happens in a fresh buffer on both outcomes; a write into
+    # the read-only input would raise
+    rng_build = np.random.default_rng(3)
+    cols = rng_build.normal(size=(12, 3)) + 1j * rng_build.normal(size=(12, 3))
+    proj = projector_from_columns(cols)
+    state = _state(line, rng_build.normal(size=12) + 1j * rng_build.normal(size=12))
+    state.amplitudes.setflags(write=False)
+    before = state.amplitudes.copy()
+    rng = measurement_stream(5)
+    outcomes = set()
+    for _ in range(40):
+        out = gp.born_measure(state, proj, rng)
+        outcomes.add(out.inside)
+        assert np.array_equal(state.amplitudes, before)
+        assert not np.shares_memory(out.state.amplitudes, state.amplitudes)
+    assert outcomes == {True, False}
+
+
 def test_born_dimension_mismatch(line):
     proj = projector_from_columns(np.eye(4, dtype=complex)[:, :1])
     state = _state(line, np.ones(5, dtype=complex))
