@@ -11,7 +11,10 @@ G-symmetric subspace ``S_G`` and the PEPS physical space is stored in the
 compressed orthonormal basis of that range.  Its dimension is the
 character count ``|G|^-1 sum_g |chi(g)|^4`` (``|G|**3`` for the regular
 representation), which every build checks.  The dense ``A`` is built to
-find that basis and is not kept.
+find that basis and is not kept.  It is built and diagonalized in the
+arithmetic of the representation: real ``float64`` when every ``D U_g`` is
+exactly real (the built-in trivial, S3 and D4 representations), complex
+otherwise; the basis and the compressed map are ``complex128`` either way.
 """
 
 from __future__ import annotations
@@ -90,10 +93,14 @@ def _weighted_unitaries(rep: SemiRegularRep, delta: DeltaMap, power: int = 1) ->
 
 
 def _eq2_matrix(rep: SemiRegularRep, delta: DeltaMap) -> np.ndarray:
+    """Dense site map ``A``, real ``float64`` when every ``Delta U_g`` is
+    exactly real and ``complex128`` otherwise."""
     du = _weighted_unitaries(rep, delta)
+    if not du.imag.any():
+        du = du.real
     duc = du.conj()
     D = rep.total_dim
-    acc = np.zeros((D**4, D**4), dtype=complex)
+    acc = np.zeros((D**4, D**4), dtype=du.dtype)
     for g in range(rep.group.order):
         acc += np.kron(np.kron(np.kron(duc[g], duc[g]), du[g]), du[g])
     acc /= rep.group.order
@@ -103,9 +110,12 @@ def _eq2_matrix(rep: SemiRegularRep, delta: DeltaMap) -> np.ndarray:
 def build_site_tensor(rep: SemiRegularRep) -> SiteTensor:
     """Assemble the site tensor and extract the symmetric-subspace basis.
 
-    Raises :class:`DimensionOverflow` when the dense ``D^4 x D^4`` matrix
-    would exceed the amplitude cap, and :class:`BoundViolation` when the
-    rank cut disagrees with the character count of ``S_G``.
+    The clean-up, ``eigh``, rank cut and compression run in the dtype
+    :func:`_eq2_matrix` chose from the representation; nothing after it
+    looks at the values of ``A`` to choose again.  Raises
+    :class:`DimensionOverflow` when the dense ``D^4 x D^4`` matrix would
+    exceed the amplitude cap, and :class:`BoundViolation` when the rank cut
+    disagrees with the character count of ``S_G``.
     """
     D = rep.total_dim
     if (D**4) ** 2 > max_amplitudes():
@@ -127,9 +137,9 @@ def build_site_tensor(rep: SemiRegularRep) -> SiteTensor:
     sym_basis = np.ascontiguousarray(evecs[:, keep])
     return SiteTensor(
         rep=rep,
-        sym_basis=sym_basis,
+        sym_basis=sym_basis.astype(complex, copy=False),
         sym_dim=sym_dim,
-        compressed_map=sym_basis.conj().T @ matrix,
+        compressed_map=(sym_basis.conj().T @ matrix).astype(complex, copy=False),
     )
 
 

@@ -6,7 +6,9 @@ import pytest
 import gpeps as gp
 from gpeps.caps import ENV_VAR
 from gpeps.errors import BoundViolation, DimensionOverflow, InvalidKappa, SingularOnSymmetric
-from gpeps.tensors import _eq2_matrix, deformation_from_dict, deformation_to_dict
+from gpeps.tensors import (
+    RANK_TOL, _eq2_matrix, _weighted_unitaries, deformation_from_dict, deformation_to_dict,
+)
 
 
 def _symmetrizer_oracle(rep):
@@ -29,6 +31,7 @@ def test_trivial_group_tensor_is_scaled_identity():
     rep = gp.semi_regular_rep(gp.build_group("trivial"), {"trivial": 2})
     st = gp.build_site_tensor(rep)
     # single-element sum; the re-weighting carries the 1/D normalization
+    assert _site_matrix(st).dtype == np.float64  # a real representation
     assert np.abs(_site_matrix(st) - np.eye(16) / 2.0).max() < 1e-14
     assert st.sym_dim == 16
 
@@ -122,6 +125,161 @@ def test_sym_dim_off_character_count_raises(monkeypatch):
     monkeypatch.setattr("gpeps.tensors.RANK_TOL", 2.0)
     with pytest.raises(BoundViolation, match="character count"):
         gp.build_site_tensor(gp.regular_rep(gp.build_group("Z2")))
+
+
+# ---------------------------------------------------------------------------
+# real arithmetic for real representations
+
+
+def _rep(name, mults):
+    group = gp.build_group(name)
+    return gp.regular_rep(group) if mults is None else gp.semi_regular_rep(group, mults)
+
+
+def _complex_build_oracle(rep):
+    """The complex build every representation took before real ones were
+    built in real arithmetic: complex ``A``, Hermitian clean-up, complex
+    ``eigh`` and rank cut.  Returns ``(A, sym_basis, compressed_map)``."""
+    du = gp.delta_map(rep).weights[None, :, None] * rep.matrices
+    D = rep.total_dim
+    a = np.zeros((D**4, D**4), dtype=complex)
+    for g in range(rep.group.order):
+        a += np.kron(np.kron(np.kron(du[g].conj(), du[g].conj()), du[g]), du[g])
+    a /= rep.group.order
+    a = (a + a.conj().T) / 2.0
+    evals, evecs = np.linalg.eigh(a)
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    keep = evals > RANK_TOL * max(evals[0], 0.0)
+    basis = np.ascontiguousarray(evecs[:, keep])
+    return a, basis, basis.conj().T @ a
+
+
+def _principal_cos2(a, b):
+    """Squared cosines of the principal angles between two orthonormal bases."""
+    return np.linalg.svd(a.conj().T @ b, compute_uv=False) ** 2
+
+
+@pytest.mark.parametrize(
+    "name,mults",
+    [
+        ("Z2", None),
+        ("Z2", {"chi0": 2, "chi1": 1}),
+        ("Z3", None),
+        ("Z3", {"chi0": 2, "chi1": 1, "chi2": 1}),
+        ("Z4", None),
+        ("Z4", {"chi0": 1, "chi1": 2, "chi2": 1, "chi3": 1}),
+    ],
+)
+def test_complex_reps_build_bit_for_bit_as_oracle(name, mults, monkeypatch):
+    # Z2's -1 carries a 1e-16 imaginary part, so Z2 stays complex like Z3 and
+    # Z4; their bases pin the tier-1 and benchmark digests.  Their cleaned-up
+    # A has no imaginary part, so the eigh dtype is checked too: a real eigh
+    # would make the pins depend on LAPACK returning the same vectors.
+    rep = _rep(name, mults)
+    assert _eq2_matrix(rep, gp.delta_map(rep)).dtype == np.complex128
+    eigh, seen = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: seen.append(m.dtype) or eigh(m))
+    st = gp.build_site_tensor(rep)
+    monkeypatch.undo()
+    assert seen == [np.complex128]
+    _, basis, compressed = _complex_build_oracle(rep)
+    assert np.array_equal(st.sym_basis, basis)
+    assert np.array_equal(st.compressed_map, compressed)
+
+
+def test_d4_weighted_unitaries_are_real():
+    # D4 takes the real build; its D^4 x D^4 matrix is too dear to build here
+    rep = gp.regular_rep(gp.build_group("D4"))
+    du = _weighted_unitaries(rep, gp.delta_map(rep))
+    assert du.shape == (8, 8, 8) and not du.imag.any()
+
+
+@pytest.fixture(scope="module", params=[None, {"A1": 1, "A2": 2, "E": 1}], ids=["regular", "semi"])
+def s3_gauges(request):
+    """S3 site tensor of the real build, with the complex oracle build."""
+    rep = _rep("S3", request.param)
+    return gp.build_site_tensor(rep), _complex_build_oracle(rep)
+
+
+def test_s3_real_build_spans_oracle_range(s3_gauges):
+    st, (a, basis, _) = s3_gauges
+    assert _eq2_matrix(st.rep, gp.delta_map(st.rep)).dtype == np.float64
+    assert st.sym_basis.dtype == st.compressed_map.dtype == np.complex128
+    assert st.sym_basis.flags.c_contiguous
+    assert st.sym_dim == basis.shape[1]
+    b = st.sym_basis
+    assert np.abs(b.conj().T @ b - np.eye(st.sym_dim)).max() < 1e-13
+    assert np.abs(_principal_cos2(b, basis) - 1.0).max() < 1e-12
+    assert np.abs(st.compressed_map - b.conj().T @ a).max() < 1e-12
+
+
+def test_s3_gauges_give_same_ranks_and_overlaps(s3_gauges):
+    # the same ambient deformations, compressed in either gauge, give the
+    # same ground spaces: equal projector ranks and Jordan overlaps d_k
+    st, (_, basis, compressed) = s3_gauges
+    oracle = gp.SiteTensor(
+        rep=st.rep, sym_basis=basis, sym_dim=basis.shape[1], compressed_map=compressed
+    )
+    tensors = (st, oracle)
+    lattice = gp.TorusLattice.build(2, 1)
+    amb = basis.shape[0]
+    rng = np.random.default_rng(2012)
+    compressed_defs = ([], [])
+    for site in range(lattice.n_vertices):
+        x = rng.normal(size=(amb, 40)) + 1j * rng.normal(size=(amb, 40))
+        ambient = (x @ x.conj().T) / 40.0
+        ambient[np.diag_indices(amb)] += 0.5  # positive definite
+        kappas = [
+            gp.condition_number_on_symmetric(gp.Deformation(site, ambient, 0.0), t)
+            for t in tensors
+        ]
+        assert kappas[0] == pytest.approx(kappas[1], rel=1e-12)
+        for t, defs in zip(tensors, compressed_defs):
+            restricted = t.sym_basis.conj().T @ ambient @ t.sym_basis
+            defs.append(gp.Deformation(site, restricted, kappas[0]))
+        del ambient
+    prepared = [
+        gp.prepare_protocol(
+            gp.ProtocolConfig(lattice=lattice, tensor=t, deformations=tuple(defs), epsilon=0.1)
+        )
+        for t, defs in zip(tensors, compressed_defs)
+    ]
+    ranks = [[p.rank for p in prep.projectors] for prep in prepared]
+    assert ranks[0] == ranks[1]
+    if st.rep.total_dim == st.rep.group.order:
+        assert ranks[0] == [8] * (lattice.n_vertices + 1)  # the S3 quantum-double count
+    for new, old in zip(prepared[0].spectra, prepared[1].spectra):
+        assert np.abs(new.overlaps - old.overlaps).max() < 1e-12
+
+
+def _s3_complex_e_document():
+    """S3 as a user group document whose E irrep is conjugated by a fixed
+    complex unitary ``v``, so its matrices are not real."""
+    group = gp.build_group("S3")
+    c, s = np.cos(0.3), np.sin(0.3)
+    v = np.array([[c, -np.exp(-0.7j) * s], [np.exp(0.7j) * s, c]])
+    entries = []
+    for irrep in gp.irreps(group):
+        mats = v @ irrep.matrices @ v.conj().T if irrep.label == "E" else irrep.matrices
+        entries.append({"label": irrep.label, "dim": irrep.dim,
+                        "matrices_re": mats.real.tolist(), "matrices_im": mats.imag.tolist()})
+    return {"name": "S3c", "order": 6, "mult_table": group.mult.tolist(), "irreps": entries}, v
+
+
+def test_s3_complex_basis_takes_complex_build():
+    doc, v = _s3_complex_e_document()
+    rep = gp.regular_rep(*gp.load_group_document(doc))
+    assert _eq2_matrix(rep, gp.delta_map(rep)).dtype == np.complex128
+    st = gp.build_site_tensor(rep)
+    assert st.sym_dim == 216
+    # U'_g = W U_g W^dag with W = 1 + 1 + (v x 1_2), so the symmetric subspace
+    # is the real build's mapped by Wbar x Wbar x W x W
+    real = gp.build_site_tensor(gp.regular_rep(gp.build_group("S3")))
+    w = np.eye(6, dtype=complex)
+    w[2:, 2:] = np.kron(v, np.eye(2))
+    legs = real.sym_basis.reshape(6, 6, 6, 6, -1)
+    mapped = np.einsum("ai,bj,ck,dl,ijklx->abcdx", w.conj(), w.conj(), w, w, legs, optimize=True)
+    assert np.abs(_principal_cos2(st.sym_basis, mapped.reshape(6**4, -1)) - 1.0).max() < 1e-12
 
 
 def test_identity_deformation_kappa_one(z2):
