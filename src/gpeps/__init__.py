@@ -70,7 +70,6 @@ from .protocol import (
 )
 from .spectral import (
     JordanSpectrum,
-    MeasurementOutcome,
     born_measure,
     jordan_decompose,
     verify_overlap_bound,

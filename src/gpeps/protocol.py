@@ -14,12 +14,19 @@ bounded by ``1 / (2 d_min m)``.  Choosing ``m = ceil(N kappa^2 / 2 eps)``
 makes the full run succeed with probability at least ``1 - eps``.  The law
 is evaluated in the coordinates of each step's ground-space basis.
 
+Trials run in Jordan-block coordinates (see :mod:`gpeps.spectral`): a
+step never leaves the blocks of its two projectors, so one measurement
+costs O(r) for ground-space rank r, whatever the size of the lattice.
+Only a failed trial rebuilds its dense state, once, for the final
+readout.  The dense trial loop is kept as a test oracle, not here.
+
 Monte Carlo trials use independent counter-based random streams derived
 from the configured seed, so traces replay bit-identically.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -38,7 +45,6 @@ from .lattice import (
     StateVector,
     TorusLattice,
     ground_projectors,
-    projector_from_columns,
     twisted_states,
 )
 from .spectral import JordanSpectrum, born_measure, jordan_decompose
@@ -107,7 +113,11 @@ class FailureCurve:
 
 @dataclass(eq=False)
 class PreparedProtocol:
-    """Projectors, spectra and the initial state shared by all trials."""
+    """Projectors, spectra and entering coordinates shared by all trials.
+
+    ``initial_state`` is the dense untwisted state; trials start from
+    ``entering[0]`` instead, and the dense state serves checks against it.
+    """
 
     config: ProtocolConfig
     projectors: list[GroundProjector]
@@ -158,13 +168,26 @@ def pfail_bound(d_min: float, m: int) -> float:
     return 1.0 / (2.0 * d_min * m)
 
 
+@functools.lru_cache(maxsize=8)
+def _philox(seed: int) -> np.random.Philox:
+    return np.random.Philox(seed)  # seeding hashes; jumped() leaves it as it is
+
+
 def measurement_stream(seed: int, trial: int = 0) -> np.random.Generator:
     """Independent counter-based stream for one trial (replayable)."""
-    return np.random.Generator(np.random.Philox(seed).jumped(trial))
+    return np.random.Generator(_philox(seed).jumped(trial))
 
 
 # ---------------------------------------------------------------------------
 # preparation (shared across trials)
+
+
+def _check_rank(spectrum: JordanSpectrum) -> None:
+    if spectrum.rank_p > spectrum.rank_q:
+        # invertible deformations keep the rank; a drop is a bug signal
+        raise BoundViolation(
+            f"ground-space rank falls from {spectrum.rank_p} to {spectrum.rank_q}"
+        )
 
 
 def prepare_protocol(config: ProtocolConfig) -> PreparedProtocol:
@@ -195,6 +218,8 @@ def prepare_protocol(config: ProtocolConfig) -> PreparedProtocol:
     spectra = [
         jordan_decompose(projectors[t], projectors[t + 1]) for t in range(n)
     ]
+    for spectrum in spectra:  # trials assume square P rotations
+        _check_rank(spectrum)
 
     if config.m_policy == "auto":
         m = estimate_repetitions(n, kappa_max, config.epsilon)
@@ -219,74 +244,88 @@ def prepare_protocol(config: ProtocolConfig) -> PreparedProtocol:
 # running
 
 
-def _block_monitor(prepared: PreparedProtocol, t: int, entering: StateVector):
-    """Invariant checks used in traced runs.
+def _enter(spectrum: JordanSpectrum, coordinates: np.ndarray) -> np.ndarray:
+    """Block coordinates ``(U^H y, 0)`` of the vector with coordinates ``y``
+    in the basis of the step's first projector."""
+    state = np.zeros((2, spectrum.overlaps.size), dtype=complex)
+    state[0] = spectrum.p_rotation.conj().T @ coordinates
+    return state
 
-    The measurement sequence can never leave the two-dimensional blocks
-    occupied by the entering state, and whenever the state is back inside
-    the previous ground space its forward-success probability is at least
-    the minimum occupied overlap.  Only here are the dense principal
-    vectors built.
-    """
-    previous, target = prepared.projectors[t : t + 2]
+
+def _dense_state(prepared: PreparedProtocol, t: int, state: np.ndarray) -> np.ndarray:
+    """The dense vector ``sum_k alpha_k r_k + beta_k e_k`` of a state in the
+    blocks of step ``t``, rebuilt from the bases of ``P_t`` and ``P_{t+1}``."""
     spectrum = prepared.spectra[t]
-    weights = spectrum.block_weights(previous.coefficients(entering.amplitudes))
-    occupied = weights > OCCUPATION_TOL
-    r_vectors = previous.basis @ spectrum.p_rotation[:, occupied]
-    q_vectors = target.basis @ spectrum.q_rotation[:, occupied]
-    # rank-revealing: d_k = 1 blocks are 1-dim
-    blocks = projector_from_columns(np.concatenate([r_vectors, q_vectors], axis=1))
-    d_min_occ = spectrum.d_min_occupied(weights)
+    s, c = spectrum.q_axis
+    # beta_k e_k = (beta_k / c_k) (q_k - s_k r_k); beta_k is 0 where c_k is
+    along_q = np.divide(state[1], c, out=np.zeros_like(state[1]), where=c > 0.0)
+    p_coordinates = spectrum.p_rotation @ (state[0] - s * along_q)
+    q_coordinates = spectrum.q_rotation @ along_q
+    previous, target = prepared.projectors[t : t + 2]
+    return previous.basis @ p_coordinates + target.basis @ q_coordinates
 
-    def check(state: StateVector, forward_probability: float | None) -> None:
-        leak = float(np.linalg.norm(state.amplitudes - blocks.project(state.amplitudes)))
-        if leak > CONTAINMENT_TOL:
-            raise BoundViolation(
-                f"state left its principal blocks (leak {leak:.3e})"
-            )
-        if forward_probability is not None and forward_probability < d_min_occ - 1e-9:
-            raise BoundViolation(
-                f"forward probability {forward_probability:.6e} fell below "
-                f"occupied d_min {d_min_occ:.6e}"
-            )
+
+def _invariant_check(spectrum: JordanSpectrum, entering: np.ndarray):
+    """Invariant checks for ``check_invariants`` runs, in block coordinates.
+
+    A block unoccupied by the entering state stays unoccupied, the norm
+    stays 1, and whenever the state is back inside the previous ground
+    space its forward-success probability is at least the minimum occupied
+    overlap.
+    """
+    weights = np.abs(entering[0]) ** 2
+    unoccupied = weights <= OCCUPATION_TOL
+    d_min_occ = spectrum.d_min_occupied(weights, OCCUPATION_TOL)
+
+    def check(state: np.ndarray, rewound: bool) -> None:
+        block_weights = (np.abs(state) ** 2).sum(axis=0)
+        drift = abs(float(block_weights.sum()) - 1.0)
+        if drift > CONTAINMENT_TOL:
+            raise BoundViolation(f"state norm drifted by {drift:.3e}")
+        leak = float(block_weights[unoccupied].max(initial=0.0))
+        if leak > OCCUPATION_TOL:
+            raise BoundViolation(f"state entered an unoccupied block (weight {leak:.3e})")
+        if rewound:
+            coeff = (spectrum.q_axis * state).sum(axis=0)
+            forward_probability = float(np.vdot(coeff, coeff).real)
+            if forward_probability < d_min_occ - 1e-9:
+                raise BoundViolation(
+                    f"forward probability {forward_probability:.6e} fell below "
+                    f"occupied d_min {d_min_occ:.6e}"
+                )
 
     return check
 
 
-def run_step(
-    state: StateVector,
-    previous: GroundProjector,
-    target: GroundProjector,
+def _run_step(
+    state: np.ndarray,
+    spectrum: JordanSpectrum,
     m: int,
     rng: np.random.Generator,
-    monitor=None,
-) -> tuple[bool, list[int], int, StateVector]:
-    """One growth step: forward attempt, then rewind/forward pairs.
+    check=None,
+) -> tuple[bool, list[int], int, np.ndarray]:
+    """One growth step in block coordinates: forward attempt, then
+    rewind/forward pairs.
 
     Returns (success, outcome bits with one per measurement, forward
-    attempts used, final state).
+    attempts used, final block state).
     """
-    bits: list[int] = []
-    outcome = born_measure(state, target, rng)
-    bits.append(int(outcome.inside))
-    state = outcome.state
-    if monitor is not None:
-        monitor(state, None)
+    inside, state, _ = born_measure(state, spectrum.q_axis, rng)
+    bits = [int(inside)]
+    if check is not None:
+        check(state, False)
     forward_used = 1
-    while not outcome.inside and forward_used < m:
-        rewind = born_measure(state, previous, rng)
-        bits.append(int(rewind.inside))
-        state = rewind.state
-        if monitor is not None:
-            forward_prob = target.weight(state) if rewind.inside else None
-            monitor(state, forward_prob)
-        outcome = born_measure(state, target, rng)
-        bits.append(int(outcome.inside))
-        state = outcome.state
-        if monitor is not None:
-            monitor(state, None)
+    while not inside and forward_used < m:
+        rewound, state, _ = born_measure(state, spectrum.p_axis, rng)
+        bits.append(int(rewound))
+        if check is not None:
+            check(state, rewound)
+        inside, state, _ = born_measure(state, spectrum.q_axis, rng)
+        bits.append(int(inside))
+        if check is not None:
+            check(state, False)
         forward_used += 1
-    return outcome.inside, bits, forward_used, state
+    return inside, bits, forward_used, state
 
 
 def run_protocol(
@@ -294,10 +333,14 @@ def run_protocol(
     trial: int = 0,
     strict: bool = False,
 ) -> ProtocolTrace:
-    """Run one full preparation trial.
+    """Run one full preparation trial in Jordan-block coordinates.
 
-    Per-step exhaustion marks the trace as failed (and raises
-    :class:`StepExhausted` when ``strict``); successful runs are verified
+    Each step enters in the blocks of its two projectors at ``(U^H y, 0)``
+    and a success leaves at ``y' = V q``, with ``y`` and ``y'`` the state's
+    coordinates in the bases of ``P_t`` and ``P_{t+1}``.  Per-step
+    exhaustion marks the trace as failed (and raises
+    :class:`StepExhausted` when ``strict``); a failed trial rebuilds its
+    dense state once for the final readout.  Successful runs are verified
     to end inside the final ground space.
     """
     prepared = (
@@ -307,15 +350,14 @@ def run_protocol(
     )
     config = prepared.config
     rng = measurement_stream(config.seed, trial)
-    state = prepared.initial_state
+    coordinates = prepared.entering[0]
     steps: list[StepRecord] = []
     total = 0
     failed_step: int | None = None
-    for t in range(prepared.n_steps):
-        monitor = _block_monitor(prepared, t, state) if config.check_invariants else None
-        success, bits, used, state = run_step(
-            state, *prepared.projectors[t : t + 2], prepared.m, rng, monitor=monitor
-        )
+    for t, spectrum in enumerate(prepared.spectra):
+        state = _enter(spectrum, coordinates)
+        check = _invariant_check(spectrum, state) if config.check_invariants else None
+        success, bits, used, state = _run_step(state, spectrum, prepared.m, rng, check)
         total += len(bits)
         steps.append(
             StepRecord(step=t + 1, bits=tuple(bits), forward_count=used, success=success)
@@ -325,14 +367,17 @@ def run_protocol(
             if strict:
                 raise StepExhausted(t + 1)
             break
-    coefficients = prepared.projectors[prepared.n_steps].coefficients(state.amplitudes)
-    fidelity = float(np.linalg.norm(coefficients) ** 2)
+        coordinates = spectrum.q_rotation @ (spectrum.q_axis * state).sum(axis=0)
+    if failed_step is not None:
+        final = prepared.projectors[prepared.n_steps]
+        coordinates = final.coefficients(_dense_state(prepared, failed_step - 1, state))
+    fidelity = float(np.linalg.norm(coordinates) ** 2)
     success = failed_step is None
     if success and fidelity < 1.0 - SUCCESS_FIDELITY_TOL:
         raise BoundViolation(
             f"successful run ended outside the target space (fidelity {fidelity!r})"
         )
-    block_weights = tuple(float(x) for x in np.abs(coefficients) ** 2)
+    block_weights = tuple(float(x) for x in np.abs(coordinates) ** 2)
     return ProtocolTrace(
         seed=config.seed,
         trial=trial,
@@ -361,11 +406,7 @@ def curve_from_spectrum(
     that range only when its rank does not exceed the second projector's,
     so a larger first rank is reported on its own.
     """
-    if spectrum.rank_p > spectrum.rank_q:
-        # invertible deformations keep the rank; a drop is a bug signal
-        raise BoundViolation(
-            f"ground-space rank falls from {spectrum.rank_p} to {spectrum.rank_q}"
-        )
+    _check_rank(spectrum)
     weights = spectrum.block_weights(coordinates)
     inside = float(weights.sum())
     if inside < 1.0 - 1e-10:
@@ -403,18 +444,22 @@ def empirical_step_failures(
 ) -> int:
     """Monte Carlo failures of one isolated step from a fixed entering state.
 
-    Returns the number of failed chains out of ``trials``.
+    Returns the number of failed chains out of ``trials``.  The entering
+    state must lie in the step's first ground space; it is mapped to block
+    coordinates once.
     """
+    spectrum = prepared.spectra[step_index]
+    coordinates = prepared.projectors[step_index].coefficients(entering_state.amplitudes)
+    inside = float(np.vdot(coordinates, coordinates).real)
+    if inside < 1.0 - 1e-10:
+        raise StateOutsideProjector(
+            f"entering state has weight {inside!r} in the step's first ground space"
+        )
+    entering = _enter(spectrum, coordinates)
     failures = 0
     for k in range(trials):
         rng = measurement_stream(prepared.config.seed, stream_offset + k)
-        success, _, _, _ = run_step(
-            entering_state,
-            prepared.projectors[step_index],
-            prepared.projectors[step_index + 1],
-            m,
-            rng,
-        )
+        success, _, _, _ = _run_step(entering, spectrum, m, rng)
         failures += 0 if success else 1
     return failures
 

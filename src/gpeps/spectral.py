@@ -7,6 +7,13 @@ squared singular values of the cross-Gram matrix of the orthonormal bases,
 clamped to [0, 1].  The spectrum keeps only the SVD rotations of that
 cross-Gram: the principal vectors of P are ``p.basis @ spectrum.p_rotation``.
 
+Block ``k`` is spanned by the principal vector ``r_k`` of P and the unit
+vector ``e_k`` along ``q_k - s_k r_k``, with ``s_k = sqrt(d_k)`` and
+``c_k = sqrt(1 - d_k)``, so ``q_k = s_k r_k + c_k e_k``.  A state inside
+the blocks is held as its ``(2, k)`` block coordinates, and
+:func:`born_measure` measures P or Q on them in O(k) operations, with no
+pass over a basis (Jordan's lemma; Marriott and Watrous, arXiv:cs/0506068).
+
 Exact zero overlaps correspond to orthogonal sectors; they are excluded
 from ``d_min`` and surfaced through ``n_zero_overlaps`` so callers can flag
 them instead of silently reporting 0.
@@ -15,11 +22,12 @@ them instead of silently reporting 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BoundViolation, DimensionMismatch
-from .lattice import GroundProjector, StateVector, block_rows
+from .lattice import GroundProjector, block_rows
 
 ZERO_OVERLAP_TOL = 1e-12
 BOUND_SLACK = 1e-9
@@ -67,14 +75,16 @@ class JordanSpectrum:
             return 0.0
         return float(self.overlaps[occupied].min())
 
+    @cached_property
+    def p_axis(self) -> np.ndarray:
+        """``(2, k)`` block coordinates of ``r_k``: range(P) in each block."""
+        return np.stack([np.ones_like(self.overlaps), np.zeros_like(self.overlaps)])
 
-@dataclass(frozen=True, eq=False)
-class MeasurementOutcome:
-    """Result of one binary projective measurement."""
-
-    inside: bool
-    state: StateVector
-    probability: float
+    @cached_property
+    def q_axis(self) -> np.ndarray:
+        """``(2, k)`` block coordinates ``(s_k, c_k)`` of ``q_k``: range(Q)
+        in each block."""
+        return np.stack([np.sqrt(self.overlaps), np.sqrt(1.0 - self.overlaps)])
 
 
 @dataclass(frozen=True)
@@ -126,24 +136,24 @@ def verify_overlap_bound(spectrum: JordanSpectrum, kappa_sym: float) -> OverlapB
 
 
 def born_measure(
-    state: StateVector, projector: GroundProjector, rng: np.random.Generator
-) -> MeasurementOutcome:
-    """Measure {P, 1-P} on a normalized state.
+    state: np.ndarray, axis: np.ndarray, rng: np.random.Generator
+) -> tuple[bool, np.ndarray, float]:
+    """Measure {P, 1-P} on a normalized state in Jordan-block coordinates.
+
+    ``state[:, k]`` holds the state's coordinates in block ``k`` and
+    ``axis[:, k]`` the real unit vector that spans the range of P there
+    (``spectrum.p_axis`` or ``spectrum.q_axis``).  Returns the outcome, the
+    post-measurement state and the outcome's probability, in O(k).
 
     Consumes exactly one uniform draw per call (also in the deterministic
     cases, to keep replay streams aligned); outcomes with probability
-    within ``PROB_EXACT_TOL`` of 0 or 1 are forced exactly.  The basis is
-    read twice (coefficients, then the inside component), and the post-
-    measurement state is collapsed in place in the buffer of that inside
-    component; the input state is never written.
+    within ``PROB_EXACT_TOL`` of 0 or 1 are forced exactly.  The input
+    state is never written.
     """
-    if projector.dim != state.dim:
-        raise DimensionMismatch(
-            f"projector dim {projector.dim} vs state dim {state.dim}"
-        )
-    coeff = projector.coefficients(state.amplitudes)
-    post = projector.basis @ coeff  # the inside component, collapsed in place
-    p_inside = min(float(np.linalg.norm(coeff) ** 2), 1.0)
+    if state.shape != axis.shape:
+        raise DimensionMismatch(f"state shape {state.shape} vs axis shape {axis.shape}")
+    coeff = (axis * state).sum(axis=0)  # coordinate along the axis, per block
+    p_inside = min(float(np.vdot(coeff, coeff).real), 1.0)
     draw = rng.random()
     if p_inside >= 1.0 - PROB_EXACT_TOL:
         inside = True
@@ -154,16 +164,12 @@ def born_measure(
     # numpy divides a complex array by a real scalar as a product with its
     # reciprocal, so scaling by the reciprocal gives the same bits, faster
     if inside:
+        post = axis * coeff
         post *= 1.0 / np.sqrt(p_inside)
-        probability = p_inside
-    else:
-        np.subtract(state.amplitudes, post, out=post)
-        post *= 1.0 / np.linalg.norm(post)
-        probability = 1.0 - p_inside
-    new_state = StateVector(
-        lattice=state.lattice, site_dim=state.site_dim, amplitudes=post
-    )
-    return MeasurementOutcome(inside=inside, state=new_state, probability=probability)
+        return True, post, p_inside
+    post = state - axis * coeff
+    post *= 1.0 / np.sqrt(np.vdot(post, post).real)
+    return False, post, 1.0 - p_inside
 
 
 def spectrum_csv_rows(spectrum: JordanSpectrum, kappa_sym: float) -> list[dict]:

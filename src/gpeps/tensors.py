@@ -87,17 +87,16 @@ class RegroupReport:
 
 
 def _weighted_unitaries(rep: SemiRegularRep, delta: DeltaMap, power: int = 1) -> np.ndarray:
-    """Stack of ``Delta**power @ U_g`` (row scaling, Delta is diagonal)."""
+    """Stack of ``Delta**power @ U_g`` (row scaling, Delta is diagonal),
+    real ``float64`` when every entry is exactly real, ``complex128`` otherwise."""
     w = delta.weights**power
-    return w[None, :, None] * rep.matrices
+    stack = w[None, :, None] * rep.matrices
+    return stack if stack.imag.any() else stack.real
 
 
 def _eq2_matrix(rep: SemiRegularRep, delta: DeltaMap) -> np.ndarray:
-    """Dense site map ``A``, real ``float64`` when every ``Delta U_g`` is
-    exactly real and ``complex128`` otherwise."""
+    """Dense site map ``A`` in the arithmetic of :func:`_weighted_unitaries`."""
     du = _weighted_unitaries(rep, delta)
-    if not du.imag.any():
-        du = du.real
     duc = du.conj()
     D = rep.total_dim
     acc = np.zeros((D**4, D**4), dtype=du.dtype)
@@ -264,33 +263,34 @@ def verify_regroup_equivalence(rep: SemiRegularRep) -> RegroupReport:
     delta = delta_map(rep)
     du = _weighted_unitaries(rep, delta)
 
-    # factorization of the site tensor into conjugated/plain halves
+    # factorization of the site tensor into conjugated/plain halves, in the
+    # arithmetic of the representation; differences are formed in place
     site = _eq2_matrix(rep, delta)
     half_conj = np.einsum("gij,gkl->gikjl", du.conj(), du.conj()).reshape(n, D**2, D**2)
     half_plain = np.einsum("gij,gkl->gikjl", du, du).reshape(n, D**2, D**2)
-    refactored = np.einsum("gij,gkl->ikjl", half_conj, half_plain).reshape(D**4, D**4) / n
-    b_dev = float(np.abs(site - refactored).max())
+    refactored = np.einsum("gij,gkl->ikjl", half_conj, half_plain).reshape(D**4, D**4)
+    refactored /= n
+    site -= refactored
+    del refactored
+    b_dev = float(np.abs(site).max())
+    del site
 
     # Gram matrix of the regrouped tensor, leg by leg:
     # each leg carries Delta^2 U_{a_r} with a_1 = g1 g2^-1, a_2 = g2 g3^-1,
     # a_3 = g4 g3^-1, a_4 = g1 g4^-1, and the raw prefactor 1/|G|^2.
+    # Row i is the product over legs of hs[a[i], a], formed row by row.
     d2u = _weighted_unitaries(rep, delta, power=2)
     hs = np.einsum("uij,vij->uv", d2u.conj(), d2u)
     ratio = group.mult[:, group.inverse]  # ratio[a, b] = a * b^-1
     g1, g2, g3, g4 = _tuple_components(n)
     legs = [ratio[g1, g2], ratio[g2, g3], ratio[g4, g3], ratio[g1, g4]]
-    gram = np.ones((n**4, n**4), dtype=complex)
-    for a in legs:
-        gram *= hs[a[:, None], a[None, :]]
+    leg_rows = [hs[:, a] for a in legs]  # leg_rows[r][u] = hs[u, a_r]
+    gram = np.empty((n**4, n**4), dtype=hs.dtype)
+    for i, row in enumerate(gram):
+        np.multiply(leg_rows[0][legs[0][i]], leg_rows[1][legs[1][i]], out=row)
+        row *= leg_rows[2][legs[2][i]]
+        row *= leg_rows[3][legs[3][i]]
     gram /= float(n) ** 4
-
-    pattern = _right_translation_pattern(rep)
-    if pattern.max() > 1:
-        raise AssertionError("right-translation solutions are not unique")
-    entry_dev = float(np.abs(gram - pattern).max())
-    # Normalizing C isometrically (C / sqrt|G|) turns the 0/1 pattern into
-    # the group average of right translations; same deviation up to 1/|G|.
-    gram_dev = entry_dev / n
 
     explicit_dev = None
     if (D**8) * (n**4) <= budget:
@@ -301,7 +301,18 @@ def verify_regroup_equivalence(rep: SemiRegularRep) -> RegroupReport:
                 vec = np.kron(vec, d2u[a[col]].reshape(-1))
             c_cols[:, col] = vec
         c_cols /= float(n) ** 2
-        explicit_dev = float(np.abs(c_cols.conj().T @ c_cols - gram).max())
+        explicit = c_cols.conj().T @ c_cols
+        explicit -= gram
+        explicit_dev = float(np.abs(explicit).max())
+
+    pattern = _right_translation_pattern(rep)
+    if pattern.max() > 1:
+        raise AssertionError("right-translation solutions are not unique")
+    gram -= pattern
+    entry_dev = float(np.abs(gram).max())
+    # Normalizing C isometrically (C / sqrt|G|) turns the 0/1 pattern into
+    # the group average of right translations; same deviation up to 1/|G|.
+    gram_dev = entry_dev / n
 
     return RegroupReport(
         rep=rep,

@@ -17,8 +17,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 COMMANDS = {
     "simulate": {"group": "Z2", "lattice": {"width": 2, "height": 1},
-                 "deformations": {"mode": "random", "kappa": 2.0, "seed": 40},
-                 "m": 4, "trials": 3, "seed": 1},
+                 "deformations": {"mode": "random", "kappa": 8.0, "seed": 40},
+                 "m": 1, "trials": 3, "seed": 1},  # trial 1 fails
     "sweep": {"group": "Z2", "lattice": {"width": 2, "height": 1},
               "step": 1, "kappas": [2.0], "instances": 1, "seed": 1},
 }
@@ -66,21 +66,28 @@ def test_benchmark_hooks_install_run_uninstall(perfbench, tmp_path, capsys):
     builds = [s for s in tracer.spans if s.name == "tensors.build_site_tensor"]
     assert len(builds) == 2  # one per command
 
-    # the layer metrics attribute the dense kernels to their callers by
-    # parentage: one coefficients call per Born measurement plus the final
-    # readout of each trial, and every projector build inside the preparation
+    # the layer metrics attribute the kernels to their callers by parentage:
+    # every Born measurement of a trial sits under its run_protocol, a dense
+    # coefficients call only under a failed trial's (its final readout) or
+    # outside the trials, and every projector build inside the preparation
     sweep_main = [s.id for s in tracer.spans if s.name == "cli.main"][1]
     simulate = [s for s in tracer.spans if s.id < sweep_main]
     by_id = {s.id: s for s in tracer.spans}
     parent_name = {s.id: by_id[s.parent].name for s in simulate if s.parent is not None}
+    traces = [json.loads(line) for line in (tmp_path / "traces.jsonl").read_text().splitlines()]
+    runs = [s for s in simulate if s.name == "protocol.run_protocol"]
+    assert [s.trial for s in runs] == [t["trial"] for t in traces] == [0, 1, 2]
     measures = [s for s in simulate if s.name == "spectral.born_measure"]
+    assert all(parent_name[s.id] == "protocol.run_protocol" for s in measures)
+    for run, trace in zip(runs, traces):
+        under_run = [s for s in measures if s.parent == run.id]
+        assert len(under_run) == trace["total_measurements"] > 0
+    failed = {t["trial"] for t in traces if not t["success"]}
+    assert failed and len(failed) < len(traces)  # both readouts
     coefficients = [s for s in simulate if s.name == "lattice.GroundProjector.coefficients"]
-    under_measure = [s for s in coefficients if parent_name[s.id] == "spectral.born_measure"]
-    assert measures
-    assert len({s.parent for s in under_measure}) == len(under_measure) == len(measures)
-    assert len(coefficients) == len(measures) + 3  # final readout of each trial
-    assert all(parent_name[s.id] in ("spectral.born_measure", "protocol.run_protocol")
-               for s in coefficients)
+    in_trials = [s for s in coefficients if s.trial is not None]
+    assert all(parent_name[s.id] == "protocol.run_protocol" for s in in_trials)
+    assert sorted(s.trial for s in in_trials) == sorted(failed)
     builds = [s for s in simulate if s.name == "lattice.projector_from_columns"]
     assert len(builds) == 3  # P_0, P_1, P_2 on the 2x1 torus
     assert all(parent_name[s.id] == "protocol.prepare_protocol" for s in builds)

@@ -171,6 +171,27 @@ def test_invariant_monitor_clean(z2_protocol):
         run_protocol(prepared, trial=trial)  # BoundViolation would propagate
 
 
+def test_invariant_check_flags_each_violation():
+    from gpeps.protocol import _enter, _invariant_check
+
+    spectrum = gp.JordanSpectrum(
+        overlaps=np.array([0.9, 0.5]), p_rotation=np.eye(2, dtype=complex),
+        q_rotation=np.eye(2, dtype=complex), rank_p=2, rank_q=2,
+    )
+    entering = _enter(spectrum, np.array([1.0, 0.0]))  # block 1 unoccupied
+    check = _invariant_check(spectrum, entering)
+    check(entering, True)  # forward probability 0.9, the occupied d_min
+    leaked = np.array([[1.0, 1e-3], [0.0, 0.0]]) / np.sqrt(1.0 + 1e-6)
+    with pytest.raises(BoundViolation, match="unoccupied"):
+        check(leaked, False)
+    with pytest.raises(BoundViolation, match="norm"):
+        check(1.001 * entering, False)
+    orthogonal_to_q = np.array([[np.sqrt(0.1), 0.0], [-np.sqrt(0.9), 0.0]])
+    check(orthogonal_to_q, False)
+    with pytest.raises(BoundViolation, match="forward probability"):
+        check(orthogonal_to_q, True)
+
+
 def test_protocol_epsilon_validation(z2, lat22):
     _, _, tensor = z2
     ident = tuple(gp.identity_deformation(tensor, site=v) for v in range(4))
@@ -234,6 +255,12 @@ def test_empirical_step_failures_match_curve(z2_protocol):
         p = curve.pfail[m - 1]
         sigma = np.sqrt(max(p * (1 - p), 1e-9) / trials)
         assert abs(fails / trials - p) <= 3 * sigma
+
+
+def test_empirical_step_failures_rejects_state_outside(z2_protocol):
+    later = _dense_entering(z2_protocol, 2)  # outside P_0
+    with pytest.raises(StateOutsideProjector):
+        empirical_step_failures(z2_protocol, 0, 1, 10, later)
 
 
 def test_aggregate_step_stats(z2_protocol):

@@ -6,7 +6,7 @@ import scipy.linalg
 
 import gpeps as gp
 from gpeps.errors import BoundViolation, DimensionMismatch
-from gpeps.lattice import StateVector, projector_from_columns
+from gpeps.lattice import projector_from_columns
 from gpeps.protocol import measurement_stream
 from gpeps.spectral import jordan_decompose, spectrum_csv_rows
 
@@ -14,16 +14,6 @@ from gpeps.spectral import jordan_decompose, spectrum_csv_rows
 def _random_projector(rng, dim, rank, step=0):
     cols = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     return projector_from_columns(cols, step=step)
-
-
-def _state(lat, vec):
-    return StateVector(lattice=lat, site_dim=vec.size, amplitudes=vec / np.linalg.norm(vec))
-
-
-@pytest.fixture
-def line():
-    # 1x1 "lattice" so StateVector wraps arbitrary vectors in the tests
-    return gp.TorusLattice.build(1, 1)
 
 
 def test_identical_projectors_full_overlap():
@@ -153,99 +143,212 @@ def test_spectrum_csv_rows():
 
 
 # ---------------------------------------------------------------------------
-# Born measurement
+# Born measurement in Jordan-block coordinates
 
 
-def test_born_state_in_range(line):
-    basis = np.eye(4, dtype=complex)[:, :2]
-    proj = projector_from_columns(basis)
-    state = _state(line, basis[:, 0])
-    rng = measurement_stream(0)
-    out = gp.born_measure(state, proj, rng)
-    assert out.inside and out.probability == pytest.approx(1.0)
-    assert np.abs(out.state.amplitudes - state.amplitudes).max() < 1e-12
+def _spectrum(overlaps):
+    k = len(overlaps)
+    return gp.JordanSpectrum(
+        overlaps=np.asarray(overlaps, dtype=float),
+        p_rotation=np.eye(k, dtype=complex),
+        q_rotation=np.eye(k, dtype=complex),
+        rank_p=k,
+        rank_q=k,
+    )
 
 
-def test_born_state_orthogonal(line):
-    basis = np.eye(4, dtype=complex)[:, :2]
-    proj = projector_from_columns(basis)
-    state = _state(line, np.eye(4, dtype=complex)[:, 3])
-    out = gp.born_measure(state, proj, measurement_stream(0))
-    assert not out.inside and out.probability == pytest.approx(1.0)
+def _block_state(vec):
+    vec = np.asarray(vec, dtype=complex)
+    return vec / np.linalg.norm(vec)
 
 
-def test_born_45_degree_statistics(line):
-    basis = np.array([[1.0], [0.0]], dtype=complex)
-    proj = projector_from_columns(basis)
-    state = _state(line, np.array([1.0, 1.0], dtype=complex))
+def _random_block_state(rng, k):
+    return _block_state(rng.normal(size=(2, k)) + 1j * rng.normal(size=(2, k)))
+
+
+def _weight_along(axis, state):
+    return float(np.sum(np.abs(np.sum(axis * state, axis=0)) ** 2))
+
+
+def test_axes_are_unit_block_vectors():
+    spec = _spectrum([1.0, 0.7, 0.25, 0.0])
+    assert np.array_equal(spec.p_axis, [[1, 1, 1, 1], [0, 0, 0, 0]])
+    assert np.abs(np.sum(spec.q_axis**2, axis=0) - 1.0).max() < 1e-15
+    assert np.abs(spec.q_axis[0] ** 2 - spec.overlaps).max() < 1e-15
+
+
+def test_born_state_in_range():
+    rng_build = np.random.default_rng(1)
+    state = _block_state(np.stack([rng_build.normal(size=3) + 1j, np.zeros(3)]))
+    inside, post, probability = gp.born_measure(state, _spectrum([0.3, 0.6, 0.9]).p_axis,
+                                                measurement_stream(0))
+    assert inside and probability == pytest.approx(1.0)
+    assert np.abs(post - state).max() < 1e-12
+
+
+def test_born_state_orthogonal():
+    state = _block_state([[0.0, 0.0], [1.0, 2.0j]])
+    inside, post, probability = gp.born_measure(state, _spectrum([0.3, 0.6]).p_axis,
+                                                measurement_stream(0))
+    assert not inside and probability == pytest.approx(1.0)
+    assert np.abs(post - state).max() < 1e-12
+
+
+def test_born_45_degree_statistics():
+    axis = _spectrum([0.5]).q_axis  # q at 45 degrees to r
+    state = _block_state([[1.0], [0.0]])
     rng = measurement_stream(123)
     trials = 10_000
-    inside = sum(gp.born_measure(state, proj, rng).inside for _ in range(trials))
+    inside = sum(gp.born_measure(state, axis, rng)[0] for _ in range(trials))
     sigma = np.sqrt(0.25 / trials)
     assert abs(inside / trials - 0.5) < 3 * sigma
 
 
-def test_born_post_state_in_outcome_subspace(line):
+def test_born_post_state_in_outcome_subspace():
     rng_build = np.random.default_rng(2)
-    cols = rng_build.normal(size=(12, 3)) + 1j * rng_build.normal(size=(12, 3))
-    proj = projector_from_columns(cols)
-    vec = rng_build.normal(size=12) + 1j * rng_build.normal(size=12)
-    state = _state(line, vec)
     rng = measurement_stream(4)
-    out = gp.born_measure(state, proj, rng)
-    assert abs(np.linalg.norm(out.state.amplitudes) - 1.0) < 1e-12
-    inside_weight = proj.weight(out.state)
-    assert inside_weight == pytest.approx(1.0 if out.inside else 0.0, abs=1e-10)
-    # sum rule: the two outcome probabilities add to one
-    p_in = proj.weight(state)
-    assert out.probability == pytest.approx(p_in if out.inside else 1.0 - p_in, abs=1e-12)
+    for _ in range(6):
+        spec = _spectrum(rng_build.uniform(size=3))
+        state = _random_block_state(rng_build, 3)
+        for axis in (spec.p_axis, spec.q_axis):
+            inside, post, probability = gp.born_measure(state, axis, rng)
+            assert abs(np.linalg.norm(post) - 1.0) < 1e-12
+            assert _weight_along(axis, post) == pytest.approx(float(inside), abs=1e-12)
+            # sum rule: the two outcome probabilities add to one
+            p_in = _weight_along(axis, state)
+            assert probability == pytest.approx(p_in if inside else 1.0 - p_in, abs=1e-12)
 
 
-def test_born_idempotent(line):
+def test_born_matches_dense_projectors():
+    # the block coordinates of span{r_k, e_k}: the same probabilities and
+    # post-states as the dense projectors of P and Q
+    rng = np.random.default_rng(17)
+    p = _random_projector(rng, 40, 5)
+    q = _random_projector(rng, 40, 5, step=1)
+    spec = jordan_decompose(p, q)
+    r_vectors = p.basis @ spec.p_rotation
+    q_vectors = q.basis @ spec.q_rotation
+    s, c = spec.q_axis
+    e_vectors = (q_vectors - s * r_vectors) / c
+    state = _random_block_state(rng, 5)
+    dense = r_vectors @ state[0] + e_vectors @ state[1]
+    for axis, proj in ((spec.p_axis, p), (spec.q_axis, q)):
+        for seed in range(8):
+            inside, post, probability = gp.born_measure(state, axis, measurement_stream(seed))
+            p_in = proj.weight(dense)
+            assert probability == pytest.approx(p_in if inside else 1.0 - p_in, abs=1e-12)
+            part = proj.project(dense) if inside else dense - proj.project(dense)
+            rebuilt = r_vectors @ post[0] + e_vectors @ post[1]
+            assert np.abs(rebuilt - part / np.sqrt(probability)).max() < 1e-12
+
+
+def test_born_idempotent():
     rng_build = np.random.default_rng(8)
-    cols = rng_build.normal(size=(10, 2)) + 1j * rng_build.normal(size=(10, 2))
-    proj = projector_from_columns(cols)
-    state = _state(line, rng_build.normal(size=10) + 1j * rng_build.normal(size=10))
+    spec = _spectrum(rng_build.uniform(size=2))
+    state = _random_block_state(rng_build, 2)
     rng = measurement_stream(99)
-    first = gp.born_measure(state, proj, rng)
-    second = gp.born_measure(first.state, proj, rng)
-    assert second.inside == first.inside
-    assert second.probability == pytest.approx(1.0)
+    for axis in (spec.p_axis, spec.q_axis):
+        first = gp.born_measure(state, axis, rng)
+        second = gp.born_measure(first[1], axis, rng)
+        assert second[0] == first[0]
+        assert second[2] == pytest.approx(1.0)
 
 
-def test_born_consumes_one_draw_per_call(line):
+def test_born_consumes_one_draw_per_call():
     # replay alignment: deterministic outcomes still consume the stream
-    basis = np.eye(4, dtype=complex)[:, :1]
-    proj = projector_from_columns(basis)
-    state = _state(line, basis[:, 0])
+    state = _block_state([[1.0], [0.0]])
     rng_a = measurement_stream(7)
-    gp.born_measure(state, proj, rng_a)  # probability exactly 1
+    gp.born_measure(state, _spectrum([0.5]).p_axis, rng_a)  # probability exactly 1
     rng_b = measurement_stream(7)
     rng_b.random()
     assert rng_a.random() == rng_b.random()
 
 
-def test_born_leaves_input_state_unchanged(line):
+class _FixedDraw:
+    def __init__(self, value):
+        self.value, self.calls = value, 0
+
+    def random(self):
+        self.calls += 1
+        return self.value
+
+
+def test_born_forces_outcomes_within_exact_tolerance():
+    # probabilities within PROB_EXACT_TOL of 1 or 0 ignore the draw
+    from gpeps.spectral import PROB_EXACT_TOL
+
+    axis = _spectrum([0.5]).p_axis
+    tiny = 0.5 * PROB_EXACT_TOL
+    near_one = _block_state([[np.sqrt(1.0 - tiny)], [np.sqrt(tiny)]])
+    rng = _FixedDraw(np.nextafter(1.0, 0.0))
+    assert gp.born_measure(near_one, axis, rng)[0]
+    near_zero = _block_state([[np.sqrt(tiny)], [np.sqrt(1.0 - tiny)]])
+    rng = _FixedDraw(0.0)
+    assert not gp.born_measure(near_zero, axis, rng)[0]
+    assert rng.calls == 1
+
+
+def test_born_leaves_input_state_unchanged():
     # the collapse happens in a fresh buffer on both outcomes; a write into
     # the read-only input would raise
     rng_build = np.random.default_rng(3)
-    cols = rng_build.normal(size=(12, 3)) + 1j * rng_build.normal(size=(12, 3))
-    proj = projector_from_columns(cols)
-    state = _state(line, rng_build.normal(size=12) + 1j * rng_build.normal(size=12))
-    state.amplitudes.setflags(write=False)
-    before = state.amplitudes.copy()
+    state = _random_block_state(rng_build, 3)
+    axis = _spectrum(rng_build.uniform(size=3)).q_axis
+    state.setflags(write=False)
+    before = state.copy()
     rng = measurement_stream(5)
     outcomes = set()
     for _ in range(40):
-        out = gp.born_measure(state, proj, rng)
-        outcomes.add(out.inside)
-        assert np.array_equal(state.amplitudes, before)
-        assert not np.shares_memory(out.state.amplitudes, state.amplitudes)
+        inside, post, _ = gp.born_measure(state, axis, rng)
+        outcomes.add(inside)
+        assert np.array_equal(state, before)
+        assert not np.shares_memory(post, state)
     assert outcomes == {True, False}
 
 
-def test_born_dimension_mismatch(line):
-    proj = projector_from_columns(np.eye(4, dtype=complex)[:, :1])
-    state = _state(line, np.ones(5, dtype=complex))
+def test_born_dimension_mismatch():
+    state = _block_state(np.ones((2, 5)))
     with pytest.raises(DimensionMismatch):
-        gp.born_measure(state, proj, measurement_stream(0))
+        gp.born_measure(state, _spectrum([0.5] * 4).q_axis, measurement_stream(0))
+
+
+def test_born_block_with_full_overlap():
+    # d_k = 1 (c_k = 0): q_k = r_k, the block is one-dimensional and
+    # beta_k never leaves 0
+    spec = _spectrum([1.0, 0.5])
+    assert np.array_equal(spec.q_axis[:, 0], [1.0, 0.0])
+    alone = _block_state([[1.0, 0.0], [0.0, 0.0]])
+    inside, post, probability = gp.born_measure(alone, spec.q_axis, measurement_stream(0))
+    assert inside and probability == 1.0
+    assert np.array_equal(post, alone)
+    rng = measurement_stream(2)
+    state = _block_state([[1.0, 1.0j], [0.0, 0.0]])
+    outcomes = set()
+    for _ in range(30):
+        inside, post, _ = gp.born_measure(state, spec.q_axis, rng)
+        outcomes.add(inside)
+        assert post[1, 0] == 0.0
+        if not inside:
+            assert post[0, 0] == 0.0  # the failure leaves the d = 1 block empty
+    assert outcomes == {True, False}
+
+
+def test_born_block_with_zero_overlap():
+    # d_k = 0 (s_k = 0): q_k = e_k is orthogonal to range(P)
+    spec = _spectrum([0.0, 0.5])
+    assert np.array_equal(spec.q_axis[:, 0], [0.0, 1.0])
+    alone = _block_state([[1.0, 0.0], [0.0, 0.0]])
+    inside, post, probability = gp.born_measure(alone, spec.q_axis, measurement_stream(0))
+    assert not inside and probability == 1.0
+    assert np.array_equal(post, alone)
+    rng = measurement_stream(3)
+    state = _block_state([[1.0, 1.0j], [0.0, 0.0]])
+    outcomes = set()
+    for _ in range(30):
+        inside, post, _ = gp.born_measure(state, spec.q_axis, rng)
+        outcomes.add(inside)
+        if inside:
+            assert post[0, 0] == 0.0 and post[1, 0] == 0.0
+        else:
+            assert post[1, 0] == 0.0 and abs(post[0, 0]) > 0.5
+    assert outcomes == {True, False}

@@ -378,6 +378,73 @@ def test_regroup_equivalence(name, mults):
         assert report.explicit_gram_deviation < 1e-12
 
 
+def _regroup_oracle(rep):
+    """The regroup check as it was built before real arithmetic: every
+    array complex and full-size Gram leg temporaries.  Returns the report
+    fields ``(gram, entry, b_decomposition, explicit_gram)`` deviations."""
+    from gpeps.tensors import _right_translation_pattern, _tuple_components
+
+    group, n, D = rep.group, rep.group.order, rep.total_dim
+    weights = gp.delta_map(rep).weights
+    du = weights[None, :, None] * rep.matrices
+    site = np.zeros((D**4, D**4), dtype=complex)
+    for g in range(n):
+        site += np.kron(np.kron(np.kron(du[g].conj(), du[g].conj()), du[g]), du[g])
+    site /= n
+    half_conj = np.einsum("gij,gkl->gikjl", du.conj(), du.conj()).reshape(n, D**2, D**2)
+    half_plain = np.einsum("gij,gkl->gikjl", du, du).reshape(n, D**2, D**2)
+    refactored = np.einsum("gij,gkl->ikjl", half_conj, half_plain).reshape(D**4, D**4) / n
+    b_dev = float(np.abs(site - refactored).max())
+    d2u = (weights**2)[None, :, None] * rep.matrices
+    hs = np.einsum("uij,vij->uv", d2u.conj(), d2u)
+    ratio = group.mult[:, group.inverse]
+    g1, g2, g3, g4 = _tuple_components(n)
+    legs = [ratio[g1, g2], ratio[g2, g3], ratio[g4, g3], ratio[g1, g4]]
+    gram = np.ones((n**4, n**4), dtype=complex)
+    for a in legs:
+        gram *= hs[a[:, None], a[None, :]]
+    gram /= float(n) ** 4
+    entry_dev = float(np.abs(gram - _right_translation_pattern(rep)).max())
+    explicit_dev = None
+    if D**8 * n**4 <= 1 << 26:
+        c_cols = np.empty((D**8, n**4), dtype=complex)
+        for col in range(n**4):
+            vec = np.array([1.0], dtype=complex)
+            for a in legs:
+                vec = np.kron(vec, d2u[a[col]].reshape(-1))
+            c_cols[:, col] = vec
+        c_cols /= float(n) ** 2
+        explicit_dev = float(np.abs(c_cols.conj().T @ c_cols - gram).max())
+    return entry_dev / n, entry_dev, b_dev, explicit_dev
+
+
+def _report_fields(report):
+    return (report.gram_deviation, report.entry_deviation,
+            report.b_decomposition_deviation, report.explicit_gram_deviation)
+
+
+@pytest.mark.parametrize(
+    "name,mults", [("Z2", None), ("Z3", None), ("Z4", None), ("Z2", {"trivial": 2, "sign": 1})]
+)
+def test_regroup_complex_reps_bit_for_bit_as_oracle(name, mults):
+    rep = _rep(name, mults)
+    assert _weighted_unitaries(rep, gp.delta_map(rep), power=2).dtype == np.complex128
+    assert _report_fields(gp.verify_regroup_equivalence(rep)) == _regroup_oracle(rep)
+
+
+def test_regroup_s3_real_arithmetic_keeps_report():
+    # S3 is real: the check runs in float64 and reads what the complex
+    # check read, 1.46e-32, 8.77e-32 and 1.11e-16, within 1e-15
+    rep = _rep("S3", None)
+    assert _weighted_unitaries(rep, gp.delta_map(rep), power=2).dtype == np.float64
+    fields = _report_fields(gp.verify_regroup_equivalence(rep))
+    assert fields[3] is None  # the explicit C is over the amplitude budget
+    oracle = _regroup_oracle(rep)
+    pinned = (1.4608535281870588e-32, 8.765121169122353e-32, 1.1102230246251565e-16)
+    for new, old, pin in zip(fields, oracle, pinned):
+        assert abs(new - old) <= 1e-15 and abs(new - pin) <= 1e-15
+
+
 def test_regroup_trivial_group_rank_one():
     rep = gp.regular_rep(gp.build_group("trivial"))
     report = gp.verify_regroup_equivalence(rep)
