@@ -21,7 +21,6 @@ from .errors import (
     NonCommutingTwist,
     SingularOnSymmetric,
     StateOutsideProjector,
-    StepExhausted,
     UnnormalizedWeights,
     ZeroMultiplicity,
     ZeroState,

@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Mapping
 
@@ -69,6 +67,18 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
+def _scalar(value, kind: type, name: str):
+    """``kind(value)``, with a value of the wrong type reported as a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from exc
+
+
+def _resolve_seed(cfg: Mapping, args) -> int:
+    return _scalar(args.seed if args.seed is not None else cfg.get("seed", 0), int, "seed")
+
+
 def _resolve_group_rep(cfg: Mapping):
     spec = cfg.get("group", "Z2")
     rep_spec = cfg.get("rep", "regular")
@@ -94,7 +104,7 @@ def _resolve_lattice(cfg: Mapping) -> TorusLattice:
 
 
 def _resolve_step(cfg: Mapping, lattice: TorusLattice) -> int:
-    step = int(cfg.get("step", 0))
+    step = _scalar(cfg.get("step", 0), int, "step")
     if not 0 <= step < lattice.n_vertices:
         raise ConfigError(f"step must lie in [0, {lattice.n_vertices - 1}], got {step}")
     return step
@@ -112,9 +122,10 @@ def _resolve_deformations(cfg: Mapping, tensor, n_vertices: int, seed: int):
         kappas = list(kappa) if isinstance(kappa, (list, tuple)) else [kappa] * n_vertices
         if len(kappas) != n_vertices:
             raise ConfigError(f"need {n_vertices} kappa values, got {len(kappas)}")
-        base = int(spec.get("seed", seed))
+        kappas = [_scalar(k, float, "kappa") for k in kappas]
+        base = _scalar(spec.get("seed", seed), int, "deformations seed")
         return [
-            random_deformation(tensor, float(kappas[v]), seed=base + v, site=v)
+            random_deformation(tensor, kappas[v], seed=base + v, site=v)
             for v in range(n_vertices)
         ]
     if mode == "file":
@@ -175,7 +186,7 @@ def cmd_verify_group(cfg: dict, args) -> int:
     regular_consistent = rep.is_regular == delta.is_identity
 
     def check(name, deviation, default_tol, passed=None):
-        tol = float(overrides.get(name, default_tol))
+        tol = _scalar(overrides.get(name, default_tol), float, name)
         if passed is None:
             passed = deviation <= tol
         return {"name": name, "deviation": deviation, "tolerance": tol, "pass": bool(passed)}
@@ -206,7 +217,7 @@ def cmd_verify_appendix(cfg: dict, args) -> int:
     entries = cfg.get("reps")
     if entries is None:
         entries = [{k: cfg[k] for k in ("group", "rep") if k in cfg}]
-    tol = float(cfg.get("tolerances", {}).get("gram", 1e-10))
+    tol = _scalar(cfg.get("tolerances", {}).get("gram", 1e-10), float, "gram")
     results = []
     ok = True
     for entry in entries:
@@ -235,7 +246,7 @@ def cmd_verify_appendix(cfg: dict, args) -> int:
 def cmd_overlap(cfg: dict, args) -> int:
     group, rep = _resolve_group_rep(cfg)
     lattice = _resolve_lattice(cfg)
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = _resolve_seed(cfg, args)
     step = _resolve_step(cfg, lattice)
     tensor = build_site_tensor(rep)
     deformations = _resolve_deformations(cfg, tensor, lattice.n_vertices, seed)
@@ -274,12 +285,15 @@ def cmd_overlap(cfg: dict, args) -> int:
 def cmd_simulate(cfg: dict, args) -> int:
     group, rep = _resolve_group_rep(cfg)
     lattice = _resolve_lattice(cfg)
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    trials = int(args.trials if args.trials is not None else cfg.get("trials", 100))
+    seed = _resolve_seed(cfg, args)
+    trials = args.trials if args.trials is not None else cfg.get("trials", 100)
+    trials = _scalar(trials, int, "trials")
     if trials < 0:
         raise ConfigError(f"trials must be >= 0, got {trials}")
-    epsilon = float(cfg.get("epsilon", 0.1))
+    epsilon = _scalar(cfg.get("epsilon", 0.1), float, "epsilon")
     m_policy = cfg.get("m", "auto")
+    if m_policy != "auto":
+        m_policy = _scalar(m_policy, int, "m")
     tensor = build_site_tensor(rep)
     deformations = _resolve_deformations(cfg, tensor, lattice.n_vertices, seed)
 
@@ -288,18 +302,12 @@ def cmd_simulate(cfg: dict, args) -> int:
         tensor=tensor,
         deformations=tuple(deformations),
         epsilon=epsilon,
-        m_policy=m_policy if m_policy == "auto" else int(m_policy),
+        m_policy=m_policy,
         seed=seed,
         check_invariants=bool(cfg.get("check_invariants", False)),
     )
     prepared = prepare_protocol(config)
-
-    threads = max(1, min(int(args.threads), trials, os.cpu_count() or 1))
-    if threads == 1:
-        traces = [run_protocol(prepared, trial=k) for k in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            traces = list(pool.map(lambda k: run_protocol(prepared, trial=k), range(trials)))
+    traces = [run_protocol(prepared, trial=k) for k in range(trials)]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -318,7 +326,7 @@ def cmd_simulate(cfg: dict, args) -> int:
         "m": prepared.m,
         "seed": seed,
         "trials": trials,
-        "threads": threads,
+        "threads": 1,  # --threads is accepted but trials always run serially
     }
     _echo("simulate", resolved, {
         "success_fraction": n_success / trials if trials else 0.0,
@@ -334,12 +342,13 @@ def cmd_simulate(cfg: dict, args) -> int:
 def cmd_sweep(cfg: dict, args) -> int:
     group, rep = _resolve_group_rep(cfg)
     lattice = _resolve_lattice(cfg)
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = _resolve_seed(cfg, args)
     step = _resolve_step(cfg, lattice)
     kappas = cfg.get("kappas", [1.0, 2.0, 4.0, 8.0])
     if not isinstance(kappas, list) or not kappas:
         raise ConfigError(f"kappas must be a non-empty list, got {kappas!r}")
-    instances = int(cfg.get("instances", 3))
+    kappas = [_scalar(kappa, float, "kappas") for kappa in kappas]
+    instances = _scalar(cfg.get("instances", 3), int, "instances")
     if instances < 1:
         raise ConfigError(f"instances must be >= 1, got {instances}")
     tensor = build_site_tensor(rep)
@@ -350,7 +359,7 @@ def cmd_sweep(cfg: dict, args) -> int:
         for inst in range(instances):
             inst_seed = seed + 1000 * inst
             deformations = [
-                random_deformation(tensor, float(kappa), seed=inst_seed + v, site=v)
+                random_deformation(tensor, kappa, seed=inst_seed + v, site=v)
                 for v in range(lattice.n_vertices)
             ]
             p_t = ground_projector(lattice, twisted, deformations, step)
@@ -378,7 +387,7 @@ def cmd_sweep(cfg: dict, args) -> int:
         "rep": {"multiplicities": rep.multiplicities()},
         "lattice": {"width": lattice.width, "height": lattice.height},
         "step": step,
-        "kappas": list(kappas),
+        "kappas": kappas,
         "instances": instances,
         "seed": seed,
     }
@@ -396,6 +405,13 @@ def cmd_sweep(cfg: dict, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_FLAGS = {
+    "seed": {"type": int, "default": None, "help": "override config seed"},
+    "trials": {"type": int, "default": None, "help": "override config trials"},
+    "threads": {"type": int, "default": 1, "help": "no effect: trials run serially"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpeps",
@@ -404,19 +420,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("verify-group", "group, representation and re-weighting identities"),
-        ("verify-appendix", "regrouping equivalence of semi-regular constructions"),
-        ("overlap", "principal overlaps of consecutive ground spaces vs kappa^-2"),
-        ("simulate", "Monte Carlo runs of the measure/rewind protocol"),
-        ("sweep", "d_min vs kappa^-2 margin across condition numbers"),
+    for name, help_text, flags in [
+        ("verify-group", "group, representation and re-weighting identities", ()),
+        ("verify-appendix", "regrouping equivalence of semi-regular constructions", ()),
+        ("overlap", "principal overlaps of consecutive ground spaces vs kappa^-2", ("seed",)),
+        ("simulate", "Monte Carlo runs of the measure/rewind protocol",
+         ("seed", "trials", "threads")),
+        ("sweep", "d_min vs kappa^-2 margin across condition numbers", ("seed",)),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--trials", type=int, default=None, help="override config trials")
-        p.add_argument("--threads", type=int, default=1, help="trial parallelism")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 

@@ -78,14 +78,6 @@ class UnnormalizedWeights(GPepsError):
     """Block weights must sum to one."""
 
 
-class StepExhausted(GPepsError):
-    """A protocol step used up its per-step measurement budget."""
-
-    def __init__(self, step: int, message: str | None = None):
-        self.step = step
-        super().__init__(message or f"step {step} exhausted its measurement budget")
-
-
 class StateOutsideProjector(GPepsError):
     """Initial state does not lie in the required ground space."""
 

@@ -41,8 +41,6 @@ CHARACTER_TOL = 1e-10
 TRACE_IDENTITY_TOL = 1e-10
 REGULAR_WEIGHT_TOL = 1e-12
 
-BUILTIN_NAMES = ("trivial", "Z1", "Z2", "Z3", "Z4", "S3", "D4")
-
 _ZN_RE = re.compile(r"^Z(\d+)$")
 
 

@@ -131,14 +131,6 @@ class GroundProjector:
         so that the basis is read once and never copied."""
         return (vector.conj() @ self.basis).conj()
 
-    def project(self, vector: np.ndarray) -> np.ndarray:
-        return self.basis @ self.coefficients(vector)
-
-    def weight(self, state: StateVector | np.ndarray) -> float:
-        """Squared norm of the component inside the subspace."""
-        vec = state.amplitudes if isinstance(state, StateVector) else state
-        return float(np.linalg.norm(self.coefficients(vec)) ** 2)
-
 
 def block_rows(width: int) -> int:
     """Rows in one cache-sized block of a ``(dim, width)`` complex stack

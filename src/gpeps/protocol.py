@@ -33,20 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BoundViolation,
-    InvalidEpsilon,
-    StateOutsideProjector,
-    StepExhausted,
-    UnnormalizedWeights,
-)
-from .lattice import (
-    GroundProjector,
-    StateVector,
-    TorusLattice,
-    ground_projectors,
-    twisted_states,
-)
+from .errors import BoundViolation, InvalidEpsilon, StateOutsideProjector, UnnormalizedWeights
+from .lattice import GroundProjector, StateVector, TorusLattice, ground_projectors, twisted_states
 from .spectral import JordanSpectrum, born_measure, jordan_decompose
 from .tensors import Deformation, SiteTensor, condition_number_on_symmetric
 
@@ -54,6 +42,7 @@ WEIGHT_SUM_TOL = 1e-10
 SUCCESS_FIDELITY_TOL = 1e-8
 OCCUPATION_TOL = 1e-12
 CONTAINMENT_TOL = 1e-9
+STEP_STREAM_OFFSET = 1_000_000  # isolated-step chains use trial streams from here on
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,17 +102,12 @@ class FailureCurve:
 
 @dataclass(eq=False)
 class PreparedProtocol:
-    """Projectors, spectra and entering coordinates shared by all trials.
-
-    ``initial_state`` is the dense untwisted state; trials start from
-    ``entering[0]`` instead, and the dense state serves checks against it.
-    """
+    """Projectors, spectra and entering coordinates shared by all trials."""
 
     config: ProtocolConfig
     projectors: list[GroundProjector]
     spectra: list[JordanSpectrum]
     entering: list[np.ndarray]  # untwisted state entering step t, in P_t's basis
-    initial_state: StateVector
     m: int
     kappa_max: float
     kappas: list[float] = field(default_factory=list)
@@ -210,9 +194,6 @@ def prepare_protocol(config: ProtocolConfig) -> PreparedProtocol:
     twisted = twisted_states(lattice, tensor)
     e = tensor.rep.group.identity
     untwisted = tensor.rep.group.commuting_pairs().index((e, e))
-    initial = StateVector(
-        lattice=lattice, site_dim=tensor.sym_dim, amplitudes=twisted[untwisted].copy()
-    )
     projectors = ground_projectors(lattice, twisted, config.deformations, range(n + 1))
     del twisted  # spent by the pass; free it before the spectra
     spectra = [
@@ -233,7 +214,6 @@ def prepare_protocol(config: ProtocolConfig) -> PreparedProtocol:
         projectors=projectors,
         spectra=spectra,
         entering=[p.column_coordinates[:, untwisted] for p in projectors[:n]],
-        initial_state=initial,
         m=m,
         kappa_max=kappa_max,
         kappas=kappas,
@@ -328,26 +308,16 @@ def _run_step(
     return inside, bits, forward_used, state
 
 
-def run_protocol(
-    config_or_prepared: ProtocolConfig | PreparedProtocol,
-    trial: int = 0,
-    strict: bool = False,
-) -> ProtocolTrace:
+def run_protocol(prepared: PreparedProtocol, trial: int = 0) -> ProtocolTrace:
     """Run one full preparation trial in Jordan-block coordinates.
 
     Each step enters in the blocks of its two projectors at ``(U^H y, 0)``
     and a success leaves at ``y' = V q``, with ``y`` and ``y'`` the state's
     coordinates in the bases of ``P_t`` and ``P_{t+1}``.  Per-step
-    exhaustion marks the trace as failed (and raises
-    :class:`StepExhausted` when ``strict``); a failed trial rebuilds its
+    exhaustion marks the trace as failed, and a failed trial rebuilds its
     dense state once for the final readout.  Successful runs are verified
     to end inside the final ground space.
     """
-    prepared = (
-        config_or_prepared
-        if isinstance(config_or_prepared, PreparedProtocol)
-        else prepare_protocol(config_or_prepared)
-    )
     config = prepared.config
     rng = measurement_stream(config.seed, trial)
     coordinates = prepared.entering[0]
@@ -364,8 +334,6 @@ def run_protocol(
         )
         if not success:
             failed_step = t + 1
-            if strict:
-                raise StepExhausted(t + 1)
             break
         coordinates = spectrum.q_rotation @ (spectrum.q_axis * state).sum(axis=0)
     if failed_step is not None:
@@ -440,7 +408,6 @@ def empirical_step_failures(
     m: int,
     trials: int,
     entering_state: StateVector,
-    stream_offset: int = 1_000_000,
 ) -> int:
     """Monte Carlo failures of one isolated step from a fixed entering state.
 
@@ -458,7 +425,7 @@ def empirical_step_failures(
     entering = _enter(spectrum, coordinates)
     failures = 0
     for k in range(trials):
-        rng = measurement_stream(prepared.config.seed, stream_offset + k)
+        rng = measurement_stream(prepared.config.seed, STEP_STREAM_OFFSET + k)
         success, _, _, _ = _run_step(entering, spectrum, m, rng)
         failures += 0 if success else 1
     return failures

@@ -31,7 +31,6 @@ from .groups import DeltaMap, SemiRegularRep, delta_map
 
 RANK_TOL = 1e-10          # relative singular-value threshold for S_G
 SINGULAR_TOL = 1e-12      # absolute sigma_min threshold for G-injectivity
-KAPPA_REL_TOL = 0.01      # realized condition number vs target
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,17 +10,24 @@ measurement counts, fidelities and block weights they must reproduce.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from gpeps.errors import BoundViolation, DimensionMismatch, StepExhausted
-from gpeps.lattice import GroundProjector, StateVector, projector_from_columns
+from gpeps.errors import BoundViolation, DimensionMismatch
+from gpeps.lattice import (
+    GroundProjector,
+    StateVector,
+    contract_isometric_state,
+    projector_from_columns,
+)
 from gpeps.protocol import (
     CONTAINMENT_TOL,
     OCCUPATION_TOL,
     SUCCESS_FIDELITY_TOL,
     PreparedProtocol,
+    ProtocolConfig,
     ProtocolTrace,
     StepRecord,
     measurement_stream,
@@ -35,6 +42,14 @@ class MeasurementOutcome:
     inside: bool
     state: StateVector
     probability: float
+
+
+@functools.lru_cache(maxsize=4)
+def initial_state(config: ProtocolConfig) -> StateVector:
+    """The contracted untwisted state every dense trial of ``config`` starts
+    from: the row of the twisted states that the prepared protocol reads its
+    entering coordinates from."""
+    return contract_isometric_state(config.lattice, config.tensor)
 
 
 def born_measure(
@@ -84,7 +99,8 @@ def block_monitor(prepared: PreparedProtocol, t: int, entering: StateVector):
     d_min_occ = spectrum.d_min_occupied(weights)
 
     def check(state: StateVector, forward_probability: float | None) -> None:
-        leak = float(np.linalg.norm(state.amplitudes - blocks.project(state.amplitudes)))
+        inside = blocks.basis @ blocks.coefficients(state.amplitudes)
+        leak = float(np.linalg.norm(state.amplitudes - inside))
         if leak > CONTAINMENT_TOL:
             raise BoundViolation(f"state left its principal blocks (leak {leak:.3e})")
         if forward_probability is not None and forward_probability < d_min_occ - 1e-9:
@@ -94,6 +110,11 @@ def block_monitor(prepared: PreparedProtocol, t: int, entering: StateVector):
             )
 
     return check
+
+
+def _weight(projector: GroundProjector, state: StateVector) -> float:
+    """Squared norm of the component of ``state`` inside the projector."""
+    return float(np.linalg.norm(projector.coefficients(state.amplitudes)) ** 2)
 
 
 def run_step(
@@ -117,7 +138,7 @@ def run_step(
         bits.append(int(rewind.inside))
         state = rewind.state
         if monitor is not None:
-            monitor(state, target.weight(state) if rewind.inside else None)
+            monitor(state, _weight(target, state) if rewind.inside else None)
         outcome = born_measure(state, target, rng)
         bits.append(int(outcome.inside))
         state = outcome.state
@@ -127,12 +148,12 @@ def run_step(
     return outcome.inside, bits, forward_used, state
 
 
-def run_protocol(prepared: PreparedProtocol, trial: int = 0, strict: bool = False) -> ProtocolTrace:
-    """One dense trial from ``prepared.initial_state``; the dense monitor
-    runs when the configuration checks invariants."""
+def run_protocol(prepared: PreparedProtocol, trial: int = 0) -> ProtocolTrace:
+    """One dense trial from the contracted untwisted state; the dense
+    monitor runs when the configuration checks invariants."""
     config = prepared.config
     rng = measurement_stream(config.seed, trial)
-    state = prepared.initial_state
+    state = initial_state(config)
     steps: list[StepRecord] = []
     total = 0
     failed_step: int | None = None
@@ -145,8 +166,6 @@ def run_protocol(prepared: PreparedProtocol, trial: int = 0, strict: bool = Fals
         steps.append(StepRecord(step=t + 1, bits=tuple(bits), forward_count=used, success=success))
         if not success:
             failed_step = t + 1
-            if strict:
-                raise StepExhausted(t + 1)
             break
     coefficients = prepared.projectors[prepared.n_steps].coefficients(state.amplitudes)
     fidelity = float(np.linalg.norm(coefficients) ** 2)

@@ -212,8 +212,9 @@ def test_criterion_5_failure_law(lemma3_configs, z2, lat22):
                     epsilon=0.1, m_policy=4, seed=500 + seed,
                 )
             )
+            initial = gp.contract_isometric_state(lat22, tensor)
             for step in [0, 1]:
-                entering = gp.partial_peps_state(prepared.initial_state, defs, t=step)
+                entering = gp.partial_peps_state(initial, defs, t=step)
                 curve = curve_from_spectrum(
                     prepared.spectra[step], prepared.entering[step], m_max=4
                 )

@@ -236,6 +236,23 @@ BAD_CONFIGS = {
     "empty-kappas": ("sweep", {"kappas": []}),
     "instances-below-1": ("sweep", {"instances": 0}),
     "negative-trials": ("simulate", {"trials": -3}),
+    "null-trials": ("simulate", {"trials": None}),
+    "null-epsilon": ("simulate", {"epsilon": None}),
+    "null-m": ("simulate", {"m": None}),
+    "null-seed": ("simulate", {"seed": None}),
+    "null-kappa": ("simulate", {"deformations": {"mode": "random", "kappa": None}}),
+    "null-kappa-entry": (
+        "simulate", {"deformations": {"mode": "random", "kappa": [2.0, None]}}),
+    "null-deformation-seed": (
+        "simulate", {"deformations": {"mode": "random", "seed": None}}),
+    "null-instances": ("sweep", {"instances": None}),
+    "infinite-instances": ("sweep", {"instances": float("inf")}),
+    "null-kappas-entry": ("sweep", {"kappas": [2.0, None]}),
+    "null-sweep-seed": ("sweep", {"seed": None}),
+    "null-overlap-step": ("overlap", {"step": None}),
+    "null-overlap-seed": ("overlap", {"seed": None}),
+    "null-tolerance": ("verify-group", {"tolerances": {"rep_unitarity": None}}),
+    "null-gram-tolerance": ("verify-appendix", {"tolerances": {"gram": None}}),
 }
 
 
@@ -247,14 +264,28 @@ def test_bad_config_exit_2(tmp_path, capsys, command, doc):
     assert capsys.readouterr().out == ""
 
 
-def test_threads_clamped_and_echoed(tmp_path, capsys):
+@pytest.mark.parametrize("threads", ["0", "1", "3", "64"])
+def test_threads_inert_and_echoed_as_1(tmp_path, capsys, threads):
     cfg = _write(tmp_path, "s.json", {"group": "Z2", "lattice": {"width": 2, "height": 1},
                                       "trials": 2, "seed": 3})
     code, payload = _run(
-        capsys, ["simulate", "--config", cfg, "--out", str(tmp_path), "--threads", "3"]
+        capsys, ["simulate", "--config", cfg, "--out", str(tmp_path), "--threads", threads]
     )
     assert code == 0
-    assert payload["resolved_config"]["threads"] == min(3, 2, os.cpu_count())
+    assert payload["resolved_config"]["threads"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--trials", "3"],
+    ["verify-group", "--seed", "1"],
+    ["verify-appendix", "--threads", "1"],
+    ["overlap", "--trials", "3"],
+], ids=lambda argv: "".join(argv[:2]))
+def test_flag_of_another_command_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # SHA-256 of the outcome bits of this fixed run, recorded before the

@@ -174,6 +174,17 @@ def test_z3_ground_rank_nine(z3, lat22, z3_twisted):
     assert proj.rank == 9
 
 
+@pytest.mark.parametrize("name", ["z2", "z3"])
+def test_untwisted_row_is_the_plain_contraction(name, lat22, request):
+    # dense oracles start from the plain contraction; the prepared protocol
+    # reads its entering coordinates from this row, bit for bit the same
+    _, _, tensor = request.getfixturevalue(name)
+    twisted = request.getfixturevalue(f"{name}_twisted")
+    e = tensor.rep.group.identity
+    row = tensor.rep.group.commuting_pairs().index((e, e))
+    assert np.array_equal(twisted[row], gp.contract_isometric_state(lat22, tensor).amplitudes)
+
+
 def _state(lattice, amplitudes):
     return gp.StateVector(lattice=lattice, site_dim=8, amplitudes=amplitudes)
 
@@ -236,7 +247,7 @@ def test_ground_space_nesting(z2, lat22, z2_twisted):
                 defs[t].matrix,
             )
             moved /= np.linalg.norm(moved)
-            outside = moved - p_next.project(moved)
+            outside = moved - p_next.basis @ p_next.coefficients(moved)
             assert np.linalg.norm(outside) < 1e-10
 
 
