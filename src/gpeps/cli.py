@@ -62,9 +62,17 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    return _object(cfg, "config")
+
+
+def _object(value, name: str) -> Mapping:
+    """A JSON object, with any other value reported as a config error."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    return value
 
 
 def _scalar(value, kind: type, name: str):
@@ -173,7 +181,7 @@ def cmd_verify_group(cfg: dict, args) -> int:
     group, rep = _resolve_group_rep(cfg)
     irs = [block[0] for block in rep.blocks]
     delta = delta_map(rep)
-    overrides = cfg.get("tolerances", {})
+    overrides = _object(cfg.get("tolerances", {}), "tolerances")
 
     hom_dev, uni_dev = rep_deviations(group, rep.matrices)
     completeness = sum(ir.dim**2 for ir in irs)
@@ -217,11 +225,14 @@ def cmd_verify_appendix(cfg: dict, args) -> int:
     entries = cfg.get("reps")
     if entries is None:
         entries = [{k: cfg[k] for k in ("group", "rep") if k in cfg}]
-    tol = _scalar(cfg.get("tolerances", {}).get("gram", 1e-10), float, "gram")
+    if not isinstance(entries, list):
+        raise ConfigError(f"reps must be a list of objects, got {entries!r}")
+    tol = _scalar(_object(cfg.get("tolerances", {}), "tolerances").get("gram", 1e-10),
+                  float, "gram")
     results = []
     ok = True
     for entry in entries:
-        group, rep = _resolve_group_rep(entry)
+        group, rep = _resolve_group_rep(_object(entry, "reps entry"))
         report = verify_regroup_equivalence(rep)
         passed = report.gram_deviation <= tol and report.entry_check
         ok = ok and passed
@@ -294,6 +305,9 @@ def cmd_simulate(cfg: dict, args) -> int:
     m_policy = cfg.get("m", "auto")
     if m_policy != "auto":
         m_policy = _scalar(m_policy, int, "m")
+    check_invariants = cfg.get("check_invariants", False)
+    if not isinstance(check_invariants, bool):
+        raise ConfigError(f"check_invariants must be true or false, got {check_invariants!r}")
     tensor = build_site_tensor(rep)
     deformations = _resolve_deformations(cfg, tensor, lattice.n_vertices, seed)
 
@@ -304,7 +318,7 @@ def cmd_simulate(cfg: dict, args) -> int:
         epsilon=epsilon,
         m_policy=m_policy,
         seed=seed,
-        check_invariants=bool(cfg.get("check_invariants", False)),
+        check_invariants=check_invariants,
     )
     prepared = prepare_protocol(config)
     traces = [run_protocol(prepared, trial=k) for k in range(trials)]

@@ -33,7 +33,6 @@ LEG_L, LEG_T, LEG_R, LEG_B = range(4)
 
 ZERO_STATE_TOL = 1e-14
 PROJECTOR_RANK_TOL = 1e-10
-BLOCK_BYTES = 1 << 18  # row blocks of a column stack: about 256 KiB each
 
 
 @dataclass(frozen=True)
@@ -132,10 +131,11 @@ class GroundProjector:
         return (vector.conj() @ self.basis).conj()
 
 
-def block_rows(width: int) -> int:
-    """Rows in one cache-sized block of a ``(dim, width)`` complex stack
-    (never fewer than ``width``)."""
-    return max(width, BLOCK_BYTES // (16 * max(width, 1)))
+def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^H b`` for two column stacks, one ``np.vdot`` per pair of columns,
+    so that neither stack is conjugated or copied (a column-major stack
+    hands ``np.vdot`` contiguous vectors)."""
+    return np.array([[np.vdot(x, y) for y in b.T] for x in a.T]).reshape(a.shape[1], b.shape[1])
 
 
 def projector_from_columns(
@@ -143,31 +143,20 @@ def projector_from_columns(
 ) -> GroundProjector:
     """Rank-revealing orthonormalization of a (dim, m) column stack.
 
-    A blocked tall-skinny QR (Demmel et al., arXiv:0808.2664) factors each
-    cache-sized row block ``A_i = Q_i R_i`` and then the stack of the small
-    ``R_i`` as ``Q_s R``; the SVD ``R = U S V^H`` of the final ``m x m``
-    factor reveals the rank.  The basis is ``Q_i (Q_s U)_i`` block by block,
-    stored column-major so that every basis vector is contiguous, and the
-    kept rows of ``S V^H`` are the columns' coordinates.
+    The eigendecomposition ``X^H X = V S² V^H`` of the ``m x m`` Gram
+    matrix reveals the rank: eigenvalues above ``tol`` times the largest
+    are kept, a relative cut on ``S²``.  The basis is ``X V S^-1`` on the
+    kept eigenvectors, stored column-major so that every basis vector is
+    contiguous, and the kept rows of ``S V^H`` are the columns' coordinates.
     """
-    dim, m = columns.shape
-    rows = block_rows(m)
-    full = dim - dim % rows
-    # one batched QR over the whole blocks, one for the shorter last block:
-    # a single Q allocation fragments the heap less than one per block
-    q_full, r_full = np.linalg.qr(columns[:full].reshape(-1, rows, m))
-    q_last, r_last = np.linalg.qr(columns[full:])
-    q_stack, r = np.linalg.qr(np.concatenate([r_full.reshape(-1, m), r_last]))
-    u, s, vh = np.linalg.svd(r, full_matrices=False)
-    keep = s > tol * (s[0] if s.size else 0.0)
-    rotation = q_stack @ u[:, keep]
-    basis = np.empty((dim, int(keep.sum())), dtype=rotation.dtype, order="F")
-    for i, q_block in enumerate(q_full):
-        np.matmul(q_block, rotation[i * m : (i + 1) * m], out=basis[i * rows : (i + 1) * rows])
-    np.matmul(q_last, rotation[len(q_full) * m :], out=basis[full:])
+    eigenvalues, v = np.linalg.eigh(gram(columns, columns))
+    eigenvalues, v = eigenvalues[::-1], v[:, ::-1]  # descending, like singular values
+    keep = eigenvalues > tol * (eigenvalues[0] if eigenvalues.size else 0.0)
+    s, v = np.sqrt(eigenvalues[keep]), v[:, keep]
+    basis = np.empty((columns.shape[0], s.size), dtype=np.result_type(columns, v), order="F")
+    np.matmul((v / s).T, columns.T, out=basis.T)  # row-major basis^T = (V S^-1)^T X^T
     return GroundProjector(
-        step=step, basis=basis, rank=basis.shape[1],
-        column_coordinates=s[keep, None] * vh[keep],
+        step=step, basis=basis, rank=s.size, column_coordinates=s[:, None] * v.conj().T
     )
 
 
@@ -175,10 +164,14 @@ def projector_from_columns(
 # contraction
 
 
+def _check_amplitudes(count: int, what: str) -> None:
+    if count > max_amplitudes():
+        raise DimensionOverflow(f"{what} needs {count} amplitudes (cap {max_amplitudes()})")
+
+
 def _state_dim(lattice: TorusLattice, tensor: SiteTensor) -> int:
     dim = tensor.sym_dim**lattice.n_vertices
-    if dim > max_amplitudes():
-        raise DimensionOverflow(f"state needs {dim} amplitudes (cap {max_amplitudes()})")
+    _check_amplitudes(dim, "state")
     return dim
 
 
@@ -245,7 +238,9 @@ def twisted_states(lattice: TorusLattice, tensor: SiteTensor) -> np.ndarray:
     columns that :func:`ground_projectors` advances.
     """
     pairs = tensor.rep.group.commuting_pairs()
-    columns = np.empty((len(pairs), _state_dim(lattice, tensor)), dtype=complex)
+    dim = _state_dim(lattice, tensor)
+    _check_amplitudes(len(pairs) * dim, f"stack of {len(pairs)} twisted states")
+    columns = np.empty((len(pairs), dim), dtype=complex)
     for k, (g, h) in enumerate(pairs):
         columns[k] = contract_isometric_state(lattice, tensor, BoundaryTwist(g=g, h=h)).amplitudes
     return columns
@@ -313,11 +308,17 @@ def ground_projectors(
 
     Linear dependence among the twisted states ("over-spanning") is
     expected and absorbed by the rank-revealing orthogonalization.
+
+    The amplitude cap counts the rows, their normalized copy (made unless
+    the last step is the only one) and one basis of at most ``len(columns)``
+    vectors per step, before any of them is allocated.
     """
     n_sites = lattice.n_vertices
     last = steps[-1]
     if steps[0] < 0 or last > n_sites:
         raise ValueError(f"steps must lie in [0, {n_sites}], got {list(steps)}")
+    stacks = 1 + (len(steps) > 1) + len(steps)
+    _check_amplitudes(stacks * columns.size, f"{len(steps)} ground projectors")
     projectors = []
     for t in range(last + 1):
         if t:
@@ -350,8 +351,7 @@ def decompress_state(state: StateVector, tensor: SiteTensor) -> np.ndarray:
     """
     n_sites = state.lattice.n_vertices
     ambient = tensor.sym_basis.shape[0]
-    if ambient**n_sites > max_amplitudes():
-        raise DimensionOverflow("ambient embedding exceeds the amplitude cap")
+    _check_amplitudes(ambient**n_sites, "ambient embedding")
     arr = state.amplitudes
     dims = [state.site_dim] * n_sites
     for v in range(n_sites):

@@ -4,8 +4,10 @@ Two orthogonal projectors decompose simultaneously into one- and
 two-dimensional blocks; the squared cosines of the principal angles between
 their ranges are the block overlaps ``d_k``.  They are computed here as the
 squared singular values of the cross-Gram matrix of the orthonormal bases,
-clamped to [0, 1].  The spectrum keeps only the SVD rotations of that
-cross-Gram: the principal vectors of P are ``p.basis @ spectrum.p_rotation``.
+clamped to [0, 1]; its entries are inner products of contiguous basis
+vectors (:func:`gpeps.lattice.gram`, the primitive that also builds the
+bases).  The spectrum keeps only the SVD rotations of that cross-Gram: the
+principal vectors of P are ``p.basis @ spectrum.p_rotation``.
 
 Block ``k`` is spanned by the principal vector ``r_k`` of P and the unit
 vector ``e_k`` along ``q_k - s_k r_k``, with ``s_k = sqrt(d_k)`` and
@@ -27,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundViolation, DimensionMismatch
-from .lattice import GroundProjector, block_rows
+from .lattice import GroundProjector, gram
 
 ZERO_OVERLAP_TOL = 1e-12
 BOUND_SLACK = 1e-9
@@ -98,14 +100,11 @@ class OverlapBoundReport:
 
 def jordan_decompose(p: GroundProjector, q: GroundProjector) -> JordanSpectrum:
     """Principal overlaps of two projectors, with the SVD rotations of their
-    cross-Gram ``p.basis^H q.basis`` as the paired principal directions."""
+    cross-Gram ``p.basis^H q.basis`` as the paired principal directions.
+    The cross-Gram is read pair by pair, with no copy of either basis."""
     if p.dim != q.dim:
         raise DimensionMismatch(f"ambient dimensions differ: {p.dim} vs {q.dim}")
-    rows = block_rows(p.rank)  # conjugate cache-sized blocks, never a whole basis
-    cross = sum(
-        p.basis[i : i + rows].conj().T @ q.basis[i : i + rows] for i in range(0, p.dim, rows)
-    )
-    u, s, vh = np.linalg.svd(cross)
+    u, s, vh = np.linalg.svd(gram(p.basis, q.basis))
     k = min(p.rank, q.rank)
     return JordanSpectrum(
         overlaps=np.clip(s[:k] ** 2, 0.0, 1.0),

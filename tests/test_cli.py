@@ -197,6 +197,17 @@ def test_resource_cap_exit_3(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("cap", [8192, 32768], ids=["twisted-stack", "projector-pass"])
+def test_resource_cap_counts_allocated_stacks_exit_3(tmp_path, capsys, monkeypatch, cap):
+    # Z2 2x2: one state has 4096 amplitudes, the four twisted states 16384,
+    # and the two-step projector pass adds a normalized copy and two bases
+    monkeypatch.setenv("GPEPS_MAX_AMPLITUDES", str(cap))
+    cfg = _write(tmp_path, "o.json", {"group": "Z2", "lattice": {"width": 2, "height": 2}})
+    code = main(["overlap", "--config", cfg, "--out", str(tmp_path)])
+    assert "resource cap" in capsys.readouterr().err
+    assert code == 3
+
+
 def test_unknown_group_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, "g.json", {"group": "Q8"})
     code = main(["verify-group", "--config", cfg])
@@ -253,12 +264,22 @@ BAD_CONFIGS = {
     "null-overlap-seed": ("overlap", {"seed": None}),
     "null-tolerance": ("verify-group", {"tolerances": {"rep_unitarity": None}}),
     "null-gram-tolerance": ("verify-appendix", {"tolerances": {"gram": None}}),
+    "null-tolerances": ("verify-group", {"tolerances": None}),
+    "null-appendix-tolerances": ("verify-appendix", {"tolerances": None}),
+    "null-reps-entry": ("verify-appendix", {"reps": [None]}),
+    "scalar-reps": ("verify-appendix", {"reps": 5}),
+    "string-check-invariants": ("simulate", {"check_invariants": "no"}),
+    "integer-check-invariants": ("simulate", {"check_invariants": 1}),
+    **{f"array-config-{command}": (command, ["group", "Z2"])
+       for command in ("verify-group", "verify-appendix", "overlap", "simulate", "sweep")},
 }
 
 
 @pytest.mark.parametrize("command,doc", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
 def test_bad_config_exit_2(tmp_path, capsys, command, doc):
-    cfg = _write(tmp_path, "bad.json", {"group": "Z2", "lattice": {"width": 2, "height": 1}, **doc})
+    if isinstance(doc, dict):  # a list is the whole document
+        doc = {"group": "Z2", "lattice": {"width": 2, "height": 1}, **doc}
+    cfg = _write(tmp_path, "bad.json", doc)
     code = main([command, "--config", cfg, "--out", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().out == ""

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,13 +330,14 @@ def test_ground_projectors_rejects_steps_out_of_range(z2, lat22, z2_twisted):
 
 
 # ---------------------------------------------------------------------------
-# the blocked QR build against the former full SVD
+# the Gram build against a full SVD
 
 
 def _svd_oracle(columns):
-    """Basis and kept singular values of a full SVD, with the same rank rule."""
+    """Basis and kept singular values of a full SVD, with the same rank rule
+    on the squared singular values: ``s² > tol · s_0²``."""
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    keep = s > PROJECTOR_RANK_TOL * s[0]
+    keep = s**2 > PROJECTOR_RANK_TOL * s[0] ** 2
     return u[:, keep], s[keep]
 
 
@@ -354,21 +356,19 @@ def _assert_matches_svd_oracle(columns):
     assert np.abs(projector.basis @ projector.column_coordinates - columns).max() < 1e-12
 
 
-# (dim, m, rows per block or None for the default blocks, zero column)
+# (dim, m, zero column): the shapes that the former blocked QR split into
+# row blocks, a stack with fewer rows than columns, and a zero column
 TSQR_SHAPES = {
-    "dim-not-multiple-of-block": (1000, 6, 64, None),
-    "last-block-thinner-than-m": (3 * 64 + 3, 6, 64, None),
-    "dim-below-m": (4, 7, None, None),
-    "default-blocks": (5000, 4, None, None),
-    "zero-column": (300, 5, 32, 2),
+    "dim-not-multiple-of-block": (1000, 6, None),
+    "last-block-thinner-than-m": (3 * 64 + 3, 6, None),
+    "dim-below-m": (4, 7, None),
+    "default-blocks": (5000, 4, None),
+    "zero-column": (300, 5, 2),
 }
 
 
-@pytest.mark.parametrize("dim,m,rows,zero", TSQR_SHAPES.values(), ids=list(TSQR_SHAPES))
-def test_projector_from_columns_matches_svd(monkeypatch, dim, m, rows, zero):
-    if rows is not None:
-        monkeypatch.setattr(lattice, "BLOCK_BYTES", 16 * m * rows)
-        assert lattice.block_rows(m) == rows
+@pytest.mark.parametrize("dim,m,zero", TSQR_SHAPES.values(), ids=list(TSQR_SHAPES))
+def test_projector_from_columns_matches_svd(dim, m, zero):
     rng = np.random.default_rng(dim + m)
     columns = rng.normal(size=(dim, m)) + 1j * rng.normal(size=(dim, m))
     columns /= np.linalg.norm(columns, axis=0)
@@ -384,3 +384,50 @@ def test_projector_from_columns_matches_svd_on_s3_stack():
     assert columns.shape[1] == 18
     assert _svd_oracle(columns)[0].shape[1] == 8
     _assert_matches_svd_oracle(columns)
+
+
+# quantum-double anyon counts (arXiv:1001.3807): the ranks of every ground space
+QUANTUM_DOUBLE_RANKS = {"Z2": (2, 2, 4), "Z3": (2, 2, 9), "S3": (2, 1, 8)}
+
+
+@pytest.mark.parametrize("name", list(QUANTUM_DOUBLE_RANKS))
+def test_rank_cut_has_a_wide_gap_at_every_step(name):
+    # the relative eigenvalue cut at 1e-10 sits far inside the gap of every
+    # normalized Gram along the pass, at kappa 8
+    width, height, anyons = QUANTUM_DOUBLE_RANKS[name]
+    tensor = gp.build_site_tensor(gp.regular_rep(gp.build_group(name)))
+    lat = gp.TorusLattice.build(width, height)
+    defs = [gp.random_deformation(tensor, 8.0, seed=70 + v, site=v) for v in range(lat.n_vertices)]
+    columns = gp.twisted_states(lat, tensor)
+    for t in range(lat.n_vertices + 1):
+        if t:
+            for k in range(len(columns)):
+                columns[k] = lattice._apply_site(columns[k], lat.n_vertices, t - 1, defs[t - 1].matrix)
+        normalized = (columns / np.linalg.norm(columns, axis=1, keepdims=True)).T
+        eigenvalues = np.linalg.eigvalsh(lattice.gram(normalized, normalized))[::-1]
+        relative = eigenvalues / eigenvalues[0]
+        assert relative[anyons - 1] >= 0.3, (t, relative)
+        assert np.abs(relative[anyons:]).max(initial=0.0) <= 1e-12, (t, relative)
+        assert projector_from_columns(normalized, step=t).rank == anyons
+
+
+def _peak_allocation(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_projector_build_allocates_only_its_basis():
+    # one (200000, 9) stack as the pass hands it over: rows normalized in
+    # place, transposed into a column-major view
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(9, 200_000)) + 1j * rng.normal(size=(9, 200_000))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    basis_bytes = rows.nbytes  # full rank: the basis is as large as the stack
+    assert _peak_allocation(projector_from_columns, rows.T) <= basis_bytes + 2**20
+    p = projector_from_columns(rows.T)
+    q = projector_from_columns(rows[::-1].T)
+    assert _peak_allocation(gp.jordan_decompose, p, q) < 2**20
