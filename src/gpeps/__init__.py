@@ -43,10 +43,7 @@ from .lattice import (
     GroundProjector,
     StateVector,
     TorusLattice,
-    apply_site_operator,
-    boundary_twist,
     contract_isometric_state,
-    decompress_state,
     ground_projector,
     ground_projectors,
     load_state,

@@ -2,7 +2,8 @@
 config, a fully resolved config echo, and machine-readable outputs.
 
 Exit codes: 0 all checks pass, 2 config/validation error, 3 resource cap
-exceeded, 4 a proven bound failed numerically (bug signal).
+exceeded, 4 a proven bound failed numerically or a LAPACK routine did not
+converge (bug signals).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from . import __version__
-from .caps import max_amplitudes
+from .caps import check_amplitudes
 from .errors import BoundViolation, ConfigError, DimensionOverflow, GPepsError
 from .groups import (
     CHARACTER_TOL,
@@ -44,6 +45,7 @@ from .protocol import (
 )
 from .spectral import BOUND_SLACK, jordan_decompose, spectrum_csv_rows, verify_overlap_bound
 from .tensors import (
+    REGROUP_TOL,
     build_site_tensor,
     deformation_from_dict,
     identity_deformation,
@@ -181,7 +183,6 @@ def cmd_verify_group(cfg: dict, args) -> int:
     group, rep = _resolve_group_rep(cfg)
     irs = [block[0] for block in rep.blocks]
     delta = delta_map(rep)
-    overrides = _object(cfg.get("tolerances", {}), "tolerances")
 
     hom_dev, uni_dev = rep_deviations(group, rep.matrices)
     completeness = sum(ir.dim**2 for ir in irs)
@@ -193,8 +194,7 @@ def cmd_verify_group(cfg: dict, args) -> int:
     weight_dev = float(np.abs(delta.weights - 1.0).max())
     regular_consistent = rep.is_regular == delta.is_identity
 
-    def check(name, deviation, default_tol, passed=None):
-        tol = _scalar(overrides.get(name, default_tol), float, name)
+    def check(name, deviation, tol, passed=None):
         if passed is None:
             passed = deviation <= tol
         return {"name": name, "deviation": deviation, "tolerance": tol, "pass": bool(passed)}
@@ -227,14 +227,12 @@ def cmd_verify_appendix(cfg: dict, args) -> int:
         entries = [{k: cfg[k] for k in ("group", "rep") if k in cfg}]
     if not isinstance(entries, list):
         raise ConfigError(f"reps must be a list of objects, got {entries!r}")
-    tol = _scalar(_object(cfg.get("tolerances", {}), "tolerances").get("gram", 1e-10),
-                  float, "gram")
     results = []
     ok = True
     for entry in entries:
         group, rep = _resolve_group_rep(_object(entry, "reps entry"))
         report = verify_regroup_equivalence(rep)
-        passed = report.gram_deviation <= tol and report.entry_check
+        passed = report.gram_deviation <= REGROUP_TOL and report.entry_check
         ok = ok and passed
         results.append(
             {
@@ -245,7 +243,7 @@ def cmd_verify_appendix(cfg: dict, args) -> int:
                 "entry_deviation": report.entry_deviation,
                 "b_decomposition_deviation": report.b_decomposition_deviation,
                 "explicit_gram_deviation": report.explicit_gram_deviation,
-                "tolerance": tol,
+                "tolerance": REGROUP_TOL,
                 "pass": passed,
             }
         )
@@ -367,6 +365,9 @@ def cmd_sweep(cfg: dict, args) -> int:
         raise ConfigError(f"instances must be >= 1, got {instances}")
     tensor = build_site_tensor(rep)
     twisted = twisted_states(lattice, tensor)
+    # live at once: the twisted stack, one ground_projector copy of it, and
+    # the bases of P_t and P_{t+1}, each at most as large as the stack
+    check_amplitudes(4 * twisted.size, "sweep (twisted stack, its copy and two bases)")
     rows = []
     worst = np.inf
     for kappa in kappas:
@@ -468,8 +469,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bound violation: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except DimensionOverflow as exc:
-        print(f"resource cap: {exc} (cap {max_amplitudes()} amplitudes)", file=sys.stderr)
+        print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except np.linalg.LinAlgError as exc:  # a ValueError, but never the config's fault
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_BOUND
     except (ConfigError, GPepsError, ValueError) as exc:
         print(f"config/validation error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -58,18 +58,8 @@ class GroupTable:
     inverse: np.ndarray
     identity: int = 0
 
-    def multiply(self, a: int, b: int) -> int:
-        return int(self.mult[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
-
     def commutes(self, a: int, b: int) -> bool:
         return self.mult[a, b] == self.mult[b, a]
-
-    @property
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mult, self.mult.T))
 
     def elements(self) -> range:
         return range(self.order)

@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .caps import max_amplitudes
-from .errors import DimensionMismatch, DimensionOverflow, NonCommutingTwist, ZeroState
+from .caps import check_amplitudes
+from .errors import DimensionMismatch, NonCommutingTwist, ZeroState
 from .groups import GroupTable, SemiRegularRep
 from .tensors import Deformation, SiteTensor, deformation_to_dict
 
@@ -82,14 +82,6 @@ class BoundaryTwist:
     cut_row: int = 0
 
 
-def boundary_twist(
-    group: GroupTable, g: int, h: int, cut_col: int = 0, cut_row: int = 0
-) -> BoundaryTwist:
-    twist = BoundaryTwist(g=g, h=h, cut_col=cut_col, cut_row=cut_row)
-    validate_twist(group, twist)
-    return twist
-
-
 def validate_twist(group: GroupTable, twist: BoundaryTwist) -> None:
     if not (0 <= twist.g < group.order and 0 <= twist.h < group.order):
         raise NonCommutingTwist(f"twist elements out of range: {twist}")
@@ -138,20 +130,33 @@ def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([[np.vdot(x, y) for y in b.T] for x in a.T]).reshape(a.shape[1], b.shape[1])
 
 
-def projector_from_columns(
-    columns: np.ndarray, step: int = 0, tol: float = PROJECTOR_RANK_TOL
-) -> GroundProjector:
+def _self_gram(x: np.ndarray) -> np.ndarray:
+    """``x^H x`` from the ``np.vdot`` of each pair ``i >= j``: the lower
+    triangle, the half ``np.linalg.eigh`` reads, equals :func:`gram`'s bit
+    for bit, and the upper triangle is its conjugate mirror."""
+    m = x.shape[1]
+    out = np.empty((m, m), dtype=np.result_type(x.dtype, float))
+    for i, xi in enumerate(x.T):
+        for j in range(i + 1):
+            out[i, j] = np.vdot(xi, x[:, j])
+    upper = np.triu_indices(m, 1)
+    out[upper] = out.T[upper].conj()
+    return out
+
+
+def projector_from_columns(columns: np.ndarray, step: int = 0) -> GroundProjector:
     """Rank-revealing orthonormalization of a (dim, m) column stack.
 
     The eigendecomposition ``X^H X = V S² V^H`` of the ``m x m`` Gram
-    matrix reveals the rank: eigenvalues above ``tol`` times the largest
-    are kept, a relative cut on ``S²``.  The basis is ``X V S^-1`` on the
-    kept eigenvectors, stored column-major so that every basis vector is
-    contiguous, and the kept rows of ``S V^H`` are the columns' coordinates.
+    matrix reveals the rank: eigenvalues above ``PROJECTOR_RANK_TOL`` times
+    the largest are kept, a relative cut on ``S²``.  The basis is
+    ``X V S^-1`` on the kept eigenvectors, stored column-major so that every
+    basis vector is contiguous, and the kept rows of ``S V^H`` are the
+    columns' coordinates.
     """
-    eigenvalues, v = np.linalg.eigh(gram(columns, columns))
+    eigenvalues, v = np.linalg.eigh(_self_gram(columns))
     eigenvalues, v = eigenvalues[::-1], v[:, ::-1]  # descending, like singular values
-    keep = eigenvalues > tol * (eigenvalues[0] if eigenvalues.size else 0.0)
+    keep = eigenvalues > PROJECTOR_RANK_TOL * (eigenvalues[0] if eigenvalues.size else 0.0)
     s, v = np.sqrt(eigenvalues[keep]), v[:, keep]
     basis = np.empty((columns.shape[0], s.size), dtype=np.result_type(columns, v), order="F")
     np.matmul((v / s).T, columns.T, out=basis.T)  # row-major basis^T = (V S^-1)^T X^T
@@ -164,14 +169,9 @@ def projector_from_columns(
 # contraction
 
 
-def _check_amplitudes(count: int, what: str) -> None:
-    if count > max_amplitudes():
-        raise DimensionOverflow(f"{what} needs {count} amplitudes (cap {max_amplitudes()})")
-
-
 def _state_dim(lattice: TorusLattice, tensor: SiteTensor) -> int:
     dim = tensor.sym_dim**lattice.n_vertices
-    _check_amplitudes(dim, "state")
+    check_amplitudes(dim, "state")
     return dim
 
 
@@ -239,7 +239,7 @@ def twisted_states(lattice: TorusLattice, tensor: SiteTensor) -> np.ndarray:
     """
     pairs = tensor.rep.group.commuting_pairs()
     dim = _state_dim(lattice, tensor)
-    _check_amplitudes(len(pairs) * dim, f"stack of {len(pairs)} twisted states")
+    check_amplitudes(len(pairs) * dim, f"stack of {len(pairs)} twisted states")
     columns = np.empty((len(pairs), dim), dtype=complex)
     for k, (g, h) in enumerate(pairs):
         columns[k] = contract_isometric_state(lattice, tensor, BoundaryTwist(g=g, h=h)).amplitudes
@@ -259,11 +259,6 @@ def _normalized(arr: np.ndarray, t: int, out: np.ndarray | None = None) -> np.nd
         raise ZeroState(f"partial PEPS with t = {t} deformations is the zero vector")
     # the same bits as np.divide on complex arrays, without the complex division
     return np.multiply(arr, 1.0 / norm, out=out)
-
-
-def apply_site_operator(state: StateVector, site: int, matrix: np.ndarray) -> np.ndarray:
-    """Apply a (d, d) operator on one site; returns raw (unnormalized) amplitudes."""
-    return _apply_site(state.amplitudes, state.lattice.n_vertices, site, matrix)
 
 
 def partial_peps_state(
@@ -318,7 +313,7 @@ def ground_projectors(
     if steps[0] < 0 or last > n_sites:
         raise ValueError(f"steps must lie in [0, {n_sites}], got {list(steps)}")
     stacks = 1 + (len(steps) > 1) + len(steps)
-    _check_amplitudes(stacks * columns.size, f"{len(steps)} ground projectors")
+    check_amplitudes(stacks * columns.size, f"{len(steps)} ground projectors")
     projectors = []
     for t in range(last + 1):
         if t:
@@ -341,26 +336,6 @@ def ground_projector(
 ) -> GroundProjector:
     """``P_t`` alone: :func:`ground_projectors` on a copy of ``twisted``."""
     return ground_projectors(lattice, twisted.copy(), deformations, [t])[0]
-
-
-def decompress_state(state: StateVector, tensor: SiteTensor) -> np.ndarray:
-    """Embed a compressed state back into the ambient virtual-leg space.
-
-    Applies the symmetric-subspace isometry at every vertex; the result has
-    ``(D**4)**N`` amplitudes.  Intended for small cross-checks.
-    """
-    n_sites = state.lattice.n_vertices
-    ambient = tensor.sym_basis.shape[0]
-    _check_amplitudes(ambient**n_sites, "ambient embedding")
-    arr = state.amplitudes
-    dims = [state.site_dim] * n_sites
-    for v in range(n_sites):
-        shaped = arr.reshape(dims)
-        arr = np.moveaxis(
-            np.tensordot(tensor.sym_basis, shaped, axes=([1], [v])), 0, v
-        ).reshape(-1)
-        dims[v] = ambient
-    return arr
 
 
 # ---------------------------------------------------------------------------

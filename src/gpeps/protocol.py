@@ -28,21 +28,25 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BoundViolation, InvalidEpsilon, StateOutsideProjector, UnnormalizedWeights
-from .lattice import GroundProjector, StateVector, TorusLattice, ground_projectors, twisted_states
-from .spectral import JordanSpectrum, born_measure, jordan_decompose
+from .lattice import GroundProjector, TorusLattice, ground_projectors, twisted_states
+from .spectral import (
+    OCCUPATION_TOL,
+    ZERO_OVERLAP_TOL,
+    JordanSpectrum,
+    born_measure,
+    jordan_decompose,
+)
 from .tensors import Deformation, SiteTensor, condition_number_on_symmetric
 
 WEIGHT_SUM_TOL = 1e-10
 SUCCESS_FIDELITY_TOL = 1e-8
-OCCUPATION_TOL = 1e-12
 CONTAINMENT_TOL = 1e-9
-STEP_STREAM_OFFSET = 1_000_000  # isolated-step chains use trial streams from here on
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +114,7 @@ class PreparedProtocol:
     entering: list[np.ndarray]  # untwisted state entering step t, in P_t's basis
     m: int
     kappa_max: float
-    kappas: list[float] = field(default_factory=list)
+    kappas: list[float]
 
     @property
     def n_steps(self) -> int:
@@ -255,7 +259,7 @@ def _invariant_check(spectrum: JordanSpectrum, entering: np.ndarray):
     """
     weights = np.abs(entering[0]) ** 2
     unoccupied = weights <= OCCUPATION_TOL
-    d_min_occ = spectrum.d_min_occupied(weights, OCCUPATION_TOL)
+    d_min_occ = spectrum.d_min_occupied(weights)
 
     def check(state: np.ndarray, rewound: bool) -> None:
         block_weights = (np.abs(state) ** 2).sum(axis=0)
@@ -382,11 +386,11 @@ def curve_from_spectrum(
             f"initial state has weight {inside!r} in the step's first ground space"
         )
     occupied = weights > OCCUPATION_TOL
-    if np.any(spectrum.overlaps[occupied] <= spectrum.zero_tol):
+    if np.any(spectrum.overlaps[occupied] <= ZERO_OVERLAP_TOL):
         # cannot happen for invertible deformations started from the
         # symmetric state; an orthogonal occupied sector is a bug signal
         raise BoundViolation("occupied principal block with zero overlap")
-    d_min = spectrum.d_min_occupied(weights, OCCUPATION_TOL)
+    d_min = spectrum.d_min_occupied(weights)
     m_values = np.arange(1, m_max + 1)
     pfail = np.array(
         [analytic_pfail(spectrum.overlaps, weights, int(m)) for m in m_values]
@@ -400,35 +404,6 @@ def curve_from_spectrum(
         bound=bound,
         d_min=d_min,
     )
-
-
-def empirical_step_failures(
-    prepared: PreparedProtocol,
-    step_index: int,
-    m: int,
-    trials: int,
-    entering_state: StateVector,
-) -> int:
-    """Monte Carlo failures of one isolated step from a fixed entering state.
-
-    Returns the number of failed chains out of ``trials``.  The entering
-    state must lie in the step's first ground space; it is mapped to block
-    coordinates once.
-    """
-    spectrum = prepared.spectra[step_index]
-    coordinates = prepared.projectors[step_index].coefficients(entering_state.amplitudes)
-    inside = float(np.vdot(coordinates, coordinates).real)
-    if inside < 1.0 - 1e-10:
-        raise StateOutsideProjector(
-            f"entering state has weight {inside!r} in the step's first ground space"
-        )
-    entering = _enter(spectrum, coordinates)
-    failures = 0
-    for k in range(trials):
-        rng = measurement_stream(prepared.config.seed, STEP_STREAM_OFFSET + k)
-        success, _, _, _ = _run_step(entering, spectrum, m, rng)
-        failures += 0 if success else 1
-    return failures
 
 
 def aggregate_step_stats(prepared: PreparedProtocol, traces: Sequence[ProtocolTrace]) -> list[dict]:

@@ -5,9 +5,10 @@ two-dimensional blocks; the squared cosines of the principal angles between
 their ranges are the block overlaps ``d_k``.  They are computed here as the
 squared singular values of the cross-Gram matrix of the orthonormal bases,
 clamped to [0, 1]; its entries are inner products of contiguous basis
-vectors (:func:`gpeps.lattice.gram`, the primitive that also builds the
-bases).  The spectrum keeps only the SVD rotations of that cross-Gram: the
-principal vectors of P are ``p.basis @ spectrum.p_rotation``.
+vectors (:func:`gpeps.lattice.gram`).  The cross-Gram is not Hermitian, so
+every entry is computed, where the self-Gram that builds a basis needs only
+its lower triangle.  The spectrum keeps only the SVD rotations of that
+cross-Gram: the principal vectors of P are ``p.basis @ spectrum.p_rotation``.
 
 Block ``k`` is spanned by the principal vector ``r_k`` of P and the unit
 vector ``e_k`` along ``q_k - s_k r_k``, with ``s_k = sqrt(d_k)`` and
@@ -16,9 +17,11 @@ the blocks is held as its ``(2, k)`` block coordinates, and
 :func:`born_measure` measures P or Q on them in O(k) operations, with no
 pass over a basis (Jordan's lemma; Marriott and Watrous, arXiv:cs/0506068).
 
-Exact zero overlaps correspond to orthogonal sectors; they are excluded
-from ``d_min`` and surfaced through ``n_zero_overlaps`` so callers can flag
-them instead of silently reporting 0.
+Overlaps at or below ``ZERO_OVERLAP_TOL`` correspond to orthogonal
+sectors; they are excluded from ``d_min`` and surfaced through
+``n_zero_overlaps`` so callers can flag them instead of silently reporting
+0.  A block is occupied by a state when its weight exceeds
+``OCCUPATION_TOL``.  Both thresholds are module constants.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .errors import BoundViolation, DimensionMismatch
 from .lattice import GroundProjector, gram
 
 ZERO_OVERLAP_TOL = 1e-12
+OCCUPATION_TOL = 1e-12
 BOUND_SLACK = 1e-9
 PROB_EXACT_TOL = 1e-14
 
@@ -51,28 +55,27 @@ class JordanSpectrum:
     q_rotation: np.ndarray  # (rank_q, k)
     rank_p: int
     rank_q: int
-    zero_tol: float = ZERO_OVERLAP_TOL
 
     @property
     def d_min(self) -> float:
         """Minimum overlap over blocks with nonzero overlap (0.0 if none)."""
-        nonzero = self.overlaps[self.overlaps > self.zero_tol]
+        nonzero = self.overlaps[self.overlaps > ZERO_OVERLAP_TOL]
         return float(nonzero.min()) if nonzero.size else 0.0
 
     @property
     def n_zero_overlaps(self) -> int:
         """Orthogonal blocks, counting the rank mismatch as structural zeros."""
         return abs(self.rank_p - self.rank_q) + int(
-            np.count_nonzero(self.overlaps <= self.zero_tol)
+            np.count_nonzero(self.overlaps <= ZERO_OVERLAP_TOL)
         )
 
     def block_weights(self, coordinates: np.ndarray) -> np.ndarray:
         """``|<r_k|x>|**2`` for a vector with ``coordinates`` in the basis of P."""
         return np.abs(self.p_rotation.conj().T @ coordinates) ** 2
 
-    def d_min_occupied(self, weights: np.ndarray, weight_tol: float = 1e-12) -> float:
-        """Minimum overlap over the blocks carrying initial-state weight."""
-        occupied = np.asarray(weights) > weight_tol
+    def d_min_occupied(self, weights: np.ndarray) -> float:
+        """Minimum overlap over the blocks whose weight exceeds ``OCCUPATION_TOL``."""
+        occupied = np.asarray(weights) > OCCUPATION_TOL
         if not occupied.any():
             return 0.0
         return float(self.overlaps[occupied].min())

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caps import max_amplitudes
-from .errors import (
-    BoundViolation, DimensionMismatch, DimensionOverflow, InvalidKappa, SingularOnSymmetric,
-)
+from .caps import check_amplitudes, max_amplitudes
+from .errors import BoundViolation, DimensionMismatch, InvalidKappa, SingularOnSymmetric
 from .groups import DeltaMap, SemiRegularRep, delta_map
 
 RANK_TOL = 1e-10          # relative singular-value threshold for S_G
 SINGULAR_TOL = 1e-12      # absolute sigma_min threshold for G-injectivity
+REGROUP_TOL = 1e-10       # regrouped Gram against the right-translation pattern
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,11 +114,7 @@ def build_site_tensor(rep: SemiRegularRep) -> SiteTensor:
     exceed the amplitude cap, and :class:`BoundViolation` when the rank cut
     disagrees with the character count of ``S_G``.
     """
-    D = rep.total_dim
-    if (D**4) ** 2 > max_amplitudes():
-        raise DimensionOverflow(
-            f"site tensor needs {(D**4)**2} amplitudes (cap {max_amplitudes()})"
-        )
+    check_amplitudes((rep.total_dim**4) ** 2, "dense site map")
     matrix = _eq2_matrix(rep, delta_map(rep))
     matrix = (matrix + matrix.conj().T) / 2.0  # clean Hermiticity at roundoff level
     evals, evecs = np.linalg.eigh(matrix)
@@ -188,23 +183,14 @@ def random_deformation(
 
 
 def condition_number_on_symmetric(deformation: Deformation, tensor: SiteTensor) -> float:
-    """sigma_max / sigma_min of the deformation restricted to ``S_G``.
-
-    Accepts the deformation either already on the compressed space
-    (``d x d``) or on the ambient virtual space (``D^4 x D^4``), in which
-    case it is compressed through ``sym_basis`` first.
-    """
-    d, amb = tensor.sym_dim, tensor.sym_basis.shape[0]
-    if deformation.matrix.shape == (d, d):
-        restricted = deformation.matrix
-    elif deformation.matrix.shape == (amb, amb):
-        restricted = tensor.sym_basis.conj().T @ deformation.matrix @ tensor.sym_basis
-    else:
+    """sigma_max / sigma_min of the deformation on ``S_G``, where it is
+    written in the compressed basis (``d x d``) like every deformation."""
+    d = tensor.sym_dim
+    if deformation.matrix.shape != (d, d):
         raise DimensionMismatch(
-            f"deformation shaped {deformation.matrix.shape}; expected "
-            f"({d}, {d}) or ({amb}, {amb})"
+            f"deformation shaped {deformation.matrix.shape}; expected ({d}, {d})"
         )
-    sing = np.linalg.svd(restricted, compute_uv=False)
+    sing = np.linalg.svd(deformation.matrix, compute_uv=False)
     if sing[-1] <= SINGULAR_TOL:
         raise SingularOnSymmetric(
             f"sigma_min = {sing[-1]:.3e} on the symmetric subspace"
@@ -253,12 +239,8 @@ def verify_regroup_equivalence(rep: SemiRegularRep) -> RegroupReport:
     group = rep.group
     n = group.order
     D = rep.total_dim
-    budget = max_amplitudes()
-    if (n**4) ** 2 > budget or (D**4) ** 2 > budget:
-        raise DimensionOverflow(
-            f"regroup check needs {(n**4)**2} Gram amplitudes and "
-            f"{(D**4)**2} tensor amplitudes (cap {budget})"
-        )
+    check_amplitudes((n**4) ** 2, "regroup Gram")
+    check_amplitudes((D**4) ** 2, "dense site map")
     delta = delta_map(rep)
     du = _weighted_unitaries(rep, delta)
 
@@ -292,7 +274,7 @@ def verify_regroup_equivalence(rep: SemiRegularRep) -> RegroupReport:
     gram /= float(n) ** 4
 
     explicit_dev = None
-    if (D**8) * (n**4) <= budget:
+    if (D**8) * (n**4) <= max_amplitudes():
         c_cols = np.empty((D**8, n**4), dtype=complex)
         for col in range(n**4):
             vec = np.array([1.0], dtype=complex)
@@ -316,7 +298,7 @@ def verify_regroup_equivalence(rep: SemiRegularRep) -> RegroupReport:
     return RegroupReport(
         rep=rep,
         gram_deviation=gram_dev,
-        entry_check=entry_dev <= 1e-10,
+        entry_check=entry_dev <= REGROUP_TOL,
         entry_deviation=entry_dev,
         b_decomposition_deviation=b_dev,
         explicit_gram_deviation=explicit_dev,

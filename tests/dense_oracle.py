@@ -6,6 +6,11 @@ builds the dense principal vectors and checks that the state never leaves
 the principal blocks occupied on entry.  The package runs the same trials
 in Jordan-block coordinates; these functions give the reference bits,
 measurement counts, fidelities and block weights they must reproduce.
+
+Two helpers that only tests need live here too: :func:`decompress_state`
+embeds a compressed state into the ambient virtual-leg space, and
+:func:`empirical_step_failures` runs Monte Carlo chains of one isolated
+step.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gpeps.errors import BoundViolation, DimensionMismatch
+from gpeps.caps import check_amplitudes
+from gpeps.errors import BoundViolation, DimensionMismatch, StateOutsideProjector
 from gpeps.lattice import (
     GroundProjector,
     StateVector,
@@ -30,9 +36,14 @@ from gpeps.protocol import (
     ProtocolConfig,
     ProtocolTrace,
     StepRecord,
+    _enter,
+    _run_step,
     measurement_stream,
 )
 from gpeps.spectral import PROB_EXACT_TOL
+from gpeps.tensors import SiteTensor
+
+STEP_STREAM_OFFSET = 1_000_000  # isolated-step chains use trial streams from here on
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,3 +194,53 @@ def run_protocol(prepared: PreparedProtocol, trial: int = 0) -> ProtocolTrace:
         final_fidelity=fidelity,
         final_block_weights=tuple(float(x) for x in np.abs(coefficients) ** 2),
     )
+
+
+def decompress_state(state: StateVector, tensor: SiteTensor) -> np.ndarray:
+    """Embed a compressed state back into the ambient virtual-leg space.
+
+    Applies the symmetric-subspace isometry at every vertex; the result has
+    ``(D**4)**N`` amplitudes.
+    """
+    n_sites = state.lattice.n_vertices
+    ambient = tensor.sym_basis.shape[0]
+    check_amplitudes(ambient**n_sites, "ambient embedding")
+    arr = state.amplitudes
+    dims = [state.site_dim] * n_sites
+    for v in range(n_sites):
+        shaped = arr.reshape(dims)
+        arr = np.moveaxis(
+            np.tensordot(tensor.sym_basis, shaped, axes=([1], [v])), 0, v
+        ).reshape(-1)
+        dims[v] = ambient
+    return arr
+
+
+def empirical_step_failures(
+    prepared: PreparedProtocol,
+    step_index: int,
+    m: int,
+    trials: int,
+    entering_state: StateVector,
+) -> int:
+    """Monte Carlo failures of one isolated step from a fixed entering state.
+
+    Returns the number of failed chains out of ``trials``.  The entering
+    state must lie in the step's first ground space; it is mapped to block
+    coordinates once, and chain ``k`` draws from trial stream
+    ``STEP_STREAM_OFFSET + k``.
+    """
+    spectrum = prepared.spectra[step_index]
+    coordinates = prepared.projectors[step_index].coefficients(entering_state.amplitudes)
+    inside = float(np.vdot(coordinates, coordinates).real)
+    if inside < 1.0 - 1e-10:
+        raise StateOutsideProjector(
+            f"entering state has weight {inside!r} in the step's first ground space"
+        )
+    entering = _enter(spectrum, coordinates)
+    failures = 0
+    for k in range(trials):
+        rng = measurement_stream(prepared.config.seed, STEP_STREAM_OFFSET + k)
+        success, _, _, _ = _run_step(entering, spectrum, m, rng)
+        failures += 0 if success else 1
+    return failures

@@ -15,16 +15,16 @@ import scipy.linalg
 
 import gpeps as gp
 from gpeps.groups import trace_identity_deviation
-from gpeps.lattice import BoundaryTwist, decompress_state, projector_from_columns
+from gpeps.lattice import BoundaryTwist, _apply_site, projector_from_columns
 from gpeps.protocol import (
     curve_from_spectrum,
-    empirical_step_failures,
     estimate_repetitions,
     prepare_protocol,
     run_protocol,
 )
 
 from conftest import stack_columns
+from dense_oracle import decompress_state, empirical_step_failures
 
 
 @contextmanager
@@ -120,10 +120,7 @@ def _lemma2_instance(lattice, tensor, twisted, deformations, step):
         cols = []
         for arr in twisted:
             for v in range(t):
-                arr = gp.apply_site_operator(
-                    gp.StateVector(lattice=lattice, site_dim=tensor.sym_dim, amplitudes=arr),
-                    v, deformations[v].matrix,
-                )
+                arr = _apply_site(arr, lattice.n_vertices, v, deformations[v].matrix)
             cols.append(arr / np.linalg.norm(arr))
         return np.array(cols).T
 
@@ -183,7 +180,7 @@ def lemma3_configs(z2, z3, lat22):
                 )
                 cols1 = np.empty_like(cols0)
                 for k, key in enumerate(pairs):
-                    vec = gp.apply_site_operator(twisted[key], 0, deformation.matrix)
+                    vec = _apply_site(twisted[key].amplitudes, 4, 0, deformation.matrix)  # 2x2
                     cols1[:, k] = vec / np.linalg.norm(vec)
                 spectrum = gp.jordan_decompose(p0, projector_from_columns(cols1, step=1))
                 curve = curve_from_spectrum(

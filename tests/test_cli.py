@@ -18,7 +18,15 @@ from hypothesis import strategies as st
 import gpeps
 from gpeps.cli import main
 from gpeps.errors import MissingIdentity, MissingInverse, NonAssociative
-from gpeps.groups import build_group
+from gpeps.groups import (
+    CHARACTER_TOL,
+    HOMOMORPHISM_TOL,
+    REGULAR_WEIGHT_TOL,
+    TRACE_IDENTITY_TOL,
+    UNITARITY_TOL,
+    build_group,
+)
+from gpeps.tensors import REGROUP_TOL
 
 
 def _write(tmp_path, name, doc):
@@ -208,6 +216,65 @@ def test_resource_cap_counts_allocated_stacks_exit_3(tmp_path, capsys, monkeypat
     assert code == 3
 
 
+def test_sweep_cap_counts_live_stacks_exit_3(tmp_path, capsys, monkeypatch):
+    # Z2 2x2: the twisted stack (16384 amplitudes), one ground_projector
+    # copy and the bases of P_t and P_{t+1} are live together, 65536 in all;
+    # each call alone counts only its own 32768
+    monkeypatch.setenv("GPEPS_MAX_AMPLITUDES", "49152")
+    cfg = _write(tmp_path, "w.json", {"group": "Z2", "lattice": {"width": 2, "height": 2},
+                                      "kappas": [2.0], "instances": 1})
+    code = main(["sweep", "--config", cfg, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "needs 65536 amplitudes" in captured.err
+    assert captured.err.count("49152") == 1  # the cap is printed once
+
+
+def test_numerical_failure_exit_4(tmp_path, capsys, monkeypatch):
+    # np.linalg.LinAlgError is a ValueError, but a LAPACK routine that does
+    # not converge is a bug signal, not a config error
+    def eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    cfg = _write(tmp_path, "o.json", {"group": "Z2", "lattice": {"width": 2, "height": 1}})
+    code = main(["overlap", "--config", cfg, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "numerical failure" in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify-group", "verify-appendix"])
+def test_tolerances_are_module_constants(tmp_path, capsys, command):
+    # a "tolerances" object is not read: the report is the same without it,
+    # and every check quotes its module constant
+    plain = _write(tmp_path, "plain.json", {"group": "S3"})
+    loose = _write(tmp_path, "loose.json", {
+        "group": "S3", "tolerances": {"rep_unitarity": 1.0, "gram": 1.0, "x": None},
+    })
+    assert main([command, "--config", plain]) == 0
+    expected = capsys.readouterr().out
+    assert main([command, "--config", loose]) == 0
+    assert capsys.readouterr().out == expected
+    report = json.loads(expected)["report"]
+    if command == "verify-group":
+        tolerances = {c["name"]: c["tolerance"] for c in report["checks"]}
+        assert tolerances == {
+            "table_axioms": 0.0,
+            "rep_homomorphism": HOMOMORPHISM_TOL,
+            "rep_unitarity": UNITARITY_TOL,
+            "irrep_completeness": 0.0,
+            "irrep_character_norm": CHARACTER_TOL,
+            "delta_commutes": HOMOMORPHISM_TOL,
+            "delta_trace_identity": TRACE_IDENTITY_TOL,
+            "regular_iff_delta_identity": REGULAR_WEIGHT_TOL,
+        }
+    else:
+        assert [r["tolerance"] for r in report["reps"]] == [REGROUP_TOL]
+
+
 def test_unknown_group_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, "g.json", {"group": "Q8"})
     code = main(["verify-group", "--config", cfg])
@@ -262,10 +329,6 @@ BAD_CONFIGS = {
     "null-sweep-seed": ("sweep", {"seed": None}),
     "null-overlap-step": ("overlap", {"step": None}),
     "null-overlap-seed": ("overlap", {"seed": None}),
-    "null-tolerance": ("verify-group", {"tolerances": {"rep_unitarity": None}}),
-    "null-gram-tolerance": ("verify-appendix", {"tolerances": {"gram": None}}),
-    "null-tolerances": ("verify-group", {"tolerances": None}),
-    "null-appendix-tolerances": ("verify-appendix", {"tolerances": None}),
     "null-reps-entry": ("verify-appendix", {"reps": [None]}),
     "scalar-reps": ("verify-appendix", {"reps": 5}),
     "string-check-invariants": ("simulate", {"check_invariants": "no"}),

@@ -17,12 +17,13 @@ from gpeps.lattice import (
     LEG_T,
     PROJECTOR_RANK_TOL,
     BoundaryTwist,
-    decompress_state,
     projector_from_columns,
+    validate_twist,
 )
 from gpeps.tensors import _eq2_matrix
 
 from conftest import stack_columns
+from dense_oracle import decompress_state
 
 
 @pytest.mark.parametrize("w,h", [(1, 1), (2, 2), (3, 2), (1, 3)])
@@ -50,9 +51,9 @@ def test_noncommuting_twist_rejected():
     ]
     assert bad
     with pytest.raises(NonCommutingTwist):
-        gp.boundary_twist(s3, *bad[0])
+        validate_twist(s3, BoundaryTwist(*bad[0]))
     with pytest.raises(NonCommutingTwist):
-        gp.boundary_twist(gp.build_group("Z2"), 0, 5)  # out of range
+        validate_twist(gp.build_group("Z2"), BoundaryTwist(0, 5))  # out of range
 
 
 def _product_of_pairs_oracle(lat, bond_dim):
@@ -242,11 +243,7 @@ def test_ground_space_nesting(z2, lat22, z2_twisted):
         p_t = gp.ground_projector(lat22, z2_twisted, defs, t)
         p_next = gp.ground_projector(lat22, z2_twisted, defs, t + 1)
         for k in range(p_t.rank):
-            moved = gp.apply_site_operator(
-                gp.StateVector(lattice=lat22, site_dim=8, amplitudes=p_t.basis[:, k]),
-                t,
-                defs[t].matrix,
-            )
+            moved = lattice._apply_site(p_t.basis[:, k], lat22.n_vertices, t, defs[t].matrix)
             moved /= np.linalg.norm(moved)
             outside = moved - p_next.basis @ p_next.coefficients(moved)
             assert np.linalg.norm(outside) < 1e-10

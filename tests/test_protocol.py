@@ -15,7 +15,6 @@ from gpeps.protocol import (
     aggregate_step_stats,
     analytic_pfail,
     curve_from_spectrum,
-    empirical_step_failures,
     estimate_repetitions,
     pfail_bound,
     prepare_protocol,
@@ -23,6 +22,8 @@ from gpeps.protocol import (
     trace_to_dict,
 )
 from gpeps.spectral import jordan_decompose
+
+from dense_oracle import empirical_step_failures
 
 
 @pytest.fixture(scope="module")

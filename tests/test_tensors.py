@@ -5,7 +5,9 @@ import pytest
 
 import gpeps as gp
 from gpeps.caps import ENV_VAR
-from gpeps.errors import BoundViolation, DimensionOverflow, InvalidKappa, SingularOnSymmetric
+from gpeps.errors import (
+    BoundViolation, DimensionMismatch, DimensionOverflow, InvalidKappa, SingularOnSymmetric,
+)
 from gpeps.tensors import (
     RANK_TOL, _eq2_matrix, _weighted_unitaries, deformation_from_dict, deformation_to_dict,
 )
@@ -229,14 +231,14 @@ def test_s3_gauges_give_same_ranks_and_overlaps(s3_gauges):
         x = rng.normal(size=(amb, 40)) + 1j * rng.normal(size=(amb, 40))
         ambient = (x @ x.conj().T) / 40.0
         ambient[np.diag_indices(amb)] += 0.5  # positive definite
+        restricted = [t.sym_basis.conj().T @ ambient @ t.sym_basis for t in tensors]
         kappas = [
-            gp.condition_number_on_symmetric(gp.Deformation(site, ambient, 0.0), t)
-            for t in tensors
+            gp.condition_number_on_symmetric(gp.Deformation(site, r, 0.0), t)
+            for r, t in zip(restricted, tensors)
         ]
         assert kappas[0] == pytest.approx(kappas[1], rel=1e-12)
-        for t, defs in zip(tensors, compressed_defs):
-            restricted = t.sym_basis.conj().T @ ambient @ t.sym_basis
-            defs.append(gp.Deformation(site, restricted, kappas[0]))
+        for r, defs in zip(restricted, compressed_defs):
+            defs.append(gp.Deformation(site, r, kappas[0]))
         del ambient
     prepared = [
         gp.prepare_protocol(
@@ -333,15 +335,19 @@ def test_condition_number_matches_target(z2):
 
 
 def test_condition_number_ambient_restriction(z2):
-    # ambient operator: spectrum {1..} on S_G, garbage on the complement
+    # ambient operator: spectrum {1..} on S_G, garbage on the complement;
+    # its compression through sym_basis carries the kappa, and the ambient
+    # matrix itself is not a deformation
     _, _, tensor = z2
     dim = tensor.sym_basis.shape[0]
     b = tensor.sym_basis
     spec = np.linspace(1.0, 0.25, tensor.sym_dim)
     ambient = b @ np.diag(spec).astype(complex) @ b.conj().T
     ambient += 7.0 * (np.eye(dim) - b @ b.conj().T)
-    d = gp.Deformation(site=0, matrix=ambient, kappa_sym=4.0)
+    d = gp.Deformation(site=0, matrix=b.conj().T @ ambient @ b, kappa_sym=4.0)
     assert abs(gp.condition_number_on_symmetric(d, tensor) - 4.0) < 1e-10
+    with pytest.raises(DimensionMismatch):
+        gp.condition_number_on_symmetric(gp.Deformation(0, ambient, 4.0), tensor)
 
 
 def test_condition_number_singular_rejected(z2):
