@@ -47,6 +47,7 @@ from .spectral import BOUND_SLACK, jordan_decompose, spectrum_csv_rows, verify_o
 from .tensors import (
     REGROUP_TOL,
     build_site_tensor,
+    condition_number_on_symmetric,
     deformation_from_dict,
     identity_deformation,
     random_deformation,
@@ -59,7 +60,10 @@ EXIT_RESOURCE = 3
 EXIT_BOUND = 4
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, command: str) -> Mapping:
+    """The config object, with a top-level key that ``command`` does not
+    read reported as a config error (a misspelt key would silently take
+    its default)."""
     if path is None:
         return {}
     try:
@@ -67,7 +71,11 @@ def _load_config(path: str | None) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return _object(cfg, "config")
+    cfg = _object(cfg, "config")
+    unknown = sorted(set(cfg) - _CONFIG_KEYS[command])
+    if unknown:
+        raise ConfigError(f"{command} reads only {sorted(_CONFIG_KEYS[command])}, not {unknown}")
+    return cfg
 
 
 def _object(value, name: str) -> Mapping:
@@ -264,7 +272,8 @@ def cmd_overlap(cfg: dict, args) -> int:
         lattice, twisted_states(lattice, tensor), deformations, (step, step + 1)
     )
     spectrum = jordan_decompose(p_t, p_next)
-    kappa = deformations[step].kappa_sym
+    # recomputed, as in prepare_protocol: a deformation file's kappa_sym is not trusted
+    kappa = condition_number_on_symmetric(deformations[step], tensor)
     report = verify_overlap_bound(spectrum, kappa)  # raises BoundViolation on failure
 
     out = Path(args.out)
@@ -451,6 +460,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_GROUP_KEYS = {"group", "rep"}
+# the top-level config keys each command reads
+_CONFIG_KEYS = {
+    "verify-group": _GROUP_KEYS,
+    "verify-appendix": _GROUP_KEYS | {"reps"},
+    "overlap": _GROUP_KEYS | {"lattice", "seed", "step", "deformations"},
+    "simulate": _GROUP_KEYS | {
+        "lattice", "seed", "trials", "epsilon", "m", "check_invariants", "deformations",
+    },
+    "sweep": _GROUP_KEYS | {"lattice", "seed", "step", "kappas", "instances"},
+}
+
 _HANDLERS = {
     "verify-group": cmd_verify_group,
     "verify-appendix": cmd_verify_appendix,
@@ -463,7 +484,7 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, args.command)
         return _HANDLERS[args.command](cfg, args)
     except BoundViolation as exc:
         print(f"bound violation: {exc}", file=sys.stderr)

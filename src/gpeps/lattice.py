@@ -33,6 +33,7 @@ LEG_L, LEG_T, LEG_R, LEG_B = range(4)
 
 ZERO_STATE_TOL = 1e-14
 PROJECTOR_RANK_TOL = 1e-10
+GRAM_BLOCK_BYTES = 1 << 19  # one row block of gram's first stack: 512 KiB
 
 
 @dataclass(frozen=True)
@@ -124,42 +125,42 @@ class GroundProjector:
 
 
 def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a^H b`` for two column stacks, one ``np.vdot`` per pair of columns,
-    so that neither stack is conjugated or copied (a column-major stack
-    hands ``np.vdot`` contiguous vectors)."""
-    return np.array([[np.vdot(x, y) for y in b.T] for x in a.T]).reshape(a.shape[1], b.shape[1])
-
-
-def _self_gram(x: np.ndarray) -> np.ndarray:
-    """``x^H x`` from the ``np.vdot`` of each pair ``i >= j``: the lower
-    triangle, the half ``np.linalg.eigh`` reads, equals :func:`gram`'s bit
-    for bit, and the upper triangle is its conjugate mirror."""
-    m = x.shape[1]
-    out = np.empty((m, m), dtype=np.result_type(x.dtype, float))
-    for i, xi in enumerate(x.T):
-        for j in range(i + 1):
-            out[i, j] = np.vdot(xi, x[:, j])
-    upper = np.triu_indices(m, 1)
-    out[upper] = out.T[upper].conj()
+    """``a^H b`` for two column stacks of equal length, summed over row
+    blocks of about ``GRAM_BLOCK_BYTES`` of ``a``: only one block of ``a``
+    is ever conjugated, and neither stack is copied."""
+    rows = max(1, GRAM_BLOCK_BYTES // (a.itemsize * max(1, a.shape[1])))
+    out = np.zeros((a.shape[1], b.shape[1]), dtype=np.result_type(a, b))
+    for i in range(0, a.shape[0], rows):
+        out += a[i : i + rows].conj().T @ b[i : i + rows]
     return out
 
 
 def projector_from_columns(columns: np.ndarray, step: int = 0) -> GroundProjector:
-    """Rank-revealing orthonormalization of a (dim, m) column stack.
+    """Rank-revealing orthonormalization of the normalized columns of a
+    (dim, m) stack ``X``, which is never normalized or copied.
 
-    The eigendecomposition ``X^H X = V S² V^H`` of the ``m x m`` Gram
-    matrix reveals the rank: eigenvalues above ``PROJECTOR_RANK_TOL`` times
-    the largest are kept, a relative cut on ``S²``.  The basis is
-    ``X V S^-1`` on the kept eigenvectors, stored column-major so that every
-    basis vector is contiguous, and the kept rows of ``S V^H`` are the
-    columns' coordinates.
+    With ``G = X^H X`` and the column norms ``n = sqrt(diag G)``, the
+    normalized Gram ``G / (n n^T) = V S² V^H`` reveals the rank: eigenvalues
+    above ``PROJECTOR_RANK_TOL`` times the largest are kept, a relative cut
+    on ``S²``.  A column with ``n_k <= ZERO_STATE_TOL`` raises
+    :class:`ZeroState`.  The basis is ``X N^-1 V S^-1``, stored column-major
+    so that every basis vector is contiguous, and the kept rows of
+    ``S V^H`` are the coordinates of the normalized columns.
     """
-    eigenvalues, v = np.linalg.eigh(_self_gram(columns))
+    g = gram(columns, columns)
+    norms = np.sqrt(g.diagonal().real)
+    zero = np.flatnonzero(norms <= ZERO_STATE_TOL)
+    if zero.size:
+        raise ZeroState(
+            f"partial PEPS with t = {step} deformations is the zero vector (column {zero[0]})"
+        )
+    eigenvalues, v = np.linalg.eigh(g / np.outer(norms, norms))
     eigenvalues, v = eigenvalues[::-1], v[:, ::-1]  # descending, like singular values
     keep = eigenvalues > PROJECTOR_RANK_TOL * (eigenvalues[0] if eigenvalues.size else 0.0)
     s, v = np.sqrt(eigenvalues[keep]), v[:, keep]
     basis = np.empty((columns.shape[0], s.size), dtype=np.result_type(columns, v), order="F")
-    np.matmul((v / s).T, columns.T, out=basis.T)  # row-major basis^T = (V S^-1)^T X^T
+    # row-major basis^T = (N^-1 V S^-1)^T X^T
+    np.matmul((v / np.outer(norms, s)).T, columns.T, out=basis.T)
     return GroundProjector(
         step=step, basis=basis, rank=s.size, column_coordinates=s[:, None] * v.conj().T
     )
@@ -253,12 +254,12 @@ def _apply_site(arr: np.ndarray, n_sites: int, site: int, matrix: np.ndarray) ->
     return np.moveaxis(out, 0, site).reshape(-1)
 
 
-def _normalized(arr: np.ndarray, t: int, out: np.ndarray | None = None) -> np.ndarray:
+def _normalized(arr: np.ndarray, t: int) -> np.ndarray:
     norm = np.linalg.norm(arr)
     if norm <= ZERO_STATE_TOL:
         raise ZeroState(f"partial PEPS with t = {t} deformations is the zero vector")
     # the same bits as np.divide on complex arrays, without the complex division
-    return np.multiply(arr, 1.0 / norm, out=out)
+    return arr * (1.0 / norm)
 
 
 def partial_peps_state(
@@ -296,35 +297,30 @@ def ground_projectors(
     ``P_t`` spans the twisted partial PEPS with deformations on vertices
     ``0 .. t-1``.  Row ``k`` of ``columns`` starts as the ``k``-th state of
     :func:`twisted_states`, and step ``t`` advances every row by one vertex
-    in place (``X_{t+1} = M_t X_t``).  The rows advance unnormalized and
-    are normalized only for the orthonormalization, so every column equals
-    its :func:`partial_peps_state` amplitudes bit for bit.  The last step
-    normalizes the rows in place, which spends ``columns``.
+    in place (``X_{t+1} = M_t X_t``), which spends ``columns``.  The rows
+    are never normalized: :func:`projector_from_columns` normalizes them
+    inside its Gram matrix, so no copy of the stack is made, and every row
+    equals the unnormalized ``_apply_site`` chain of its twisted state bit
+    for bit (:func:`partial_peps_state` is that chain, normalized).
 
     Linear dependence among the twisted states ("over-spanning") is
     expected and absorbed by the rank-revealing orthogonalization.
 
-    The amplitude cap counts the rows, their normalized copy (made unless
-    the last step is the only one) and one basis of at most ``len(columns)``
-    vectors per step, before any of them is allocated.
+    The amplitude cap counts the rows and one basis of at most
+    ``len(columns)`` vectors per step, before any of them is allocated.
     """
     n_sites = lattice.n_vertices
-    last = steps[-1]
-    if steps[0] < 0 or last > n_sites:
+    if steps[0] < 0 or steps[-1] > n_sites:
         raise ValueError(f"steps must lie in [0, {n_sites}], got {list(steps)}")
-    stacks = 1 + (len(steps) > 1) + len(steps)
-    check_amplitudes(stacks * columns.size, f"{len(steps)} ground projectors")
+    check_amplitudes((1 + len(steps)) * columns.size, f"{len(steps)} ground projectors")
     projectors = []
-    for t in range(last + 1):
+    for t in range(steps[-1] + 1):
         if t:
             matrix = deformations[t - 1].matrix
             for k in range(len(columns)):
                 columns[k] = _apply_site(columns[k], n_sites, t - 1, matrix)
         if t in steps:
-            normalized = columns if t == last else np.empty_like(columns)
-            for k in range(len(columns)):
-                _normalized(columns[k], t, out=normalized[k])
-            projectors.append(projector_from_columns(normalized.T, step=t))
+            projectors.append(projector_from_columns(columns.T, step=t))
     return projectors
 
 

@@ -7,10 +7,12 @@ projector with fresh forward attempts, up to ``m`` forward attempts per
 step.  The per-step failure probability after ``m`` attempts obeys the
 exact closed form
 
-    p_fail(m) = sum_k |c_k|^2 (1 - d_k) (1 - 2 d_k (1 - d_k))**m
+    p_fail(m) = sum_k |c_k|^2 (1 - d_k) (1 - 2 d_k (1 - d_k))**(m - 1)
 
-over the principal-overlap blocks occupied by the entering state, and is
-bounded by ``1 / (2 d_min m)``.  Choosing ``m = ceil(N kappa^2 / 2 eps)``
+over the principal-overlap blocks occupied by the entering state: the
+first forward attempt fails with probability ``1 - d_k``, and each of the
+``m - 1`` rewind/forward pairs after it fails with ``1 - 2 d_k (1 - d_k)``.
+It is bounded by ``1 / (2 d_min m)``.  Choosing ``m = ceil(N kappa^2 / 2 eps)``
 makes the full run succeed with probability at least ``1 - eps``.  The law
 is evaluated in the coordinates of each step's ground-space basis.
 
@@ -135,7 +137,8 @@ def estimate_repetitions(n_vertices: int, kappa: float, epsilon: float) -> int:
 
 
 def analytic_pfail(overlaps: Sequence[float], weights: Sequence[float], m: int) -> float:
-    """Exact probability that m forward attempts of one step all fail."""
+    """Exact probability that m forward attempts of one step all fail:
+    the first attempt, then ``m - 1`` rewind/forward pairs."""
     d = np.asarray(overlaps, dtype=float)
     w = np.asarray(weights, dtype=float)
     if d.shape != w.shape:
@@ -146,7 +149,7 @@ def analytic_pfail(overlaps: Sequence[float], weights: Sequence[float], m: int) 
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise UnnormalizedWeights(f"weights sum to {total!r}, expected 1")
     d = np.clip(d, 0.0, 1.0)
-    return float(np.sum(w * (1.0 - d) * (1.0 - 2.0 * d * (1.0 - d)) ** m))
+    return float(np.sum(w * (1.0 - d) * (1.0 - 2.0 * d * (1.0 - d)) ** (m - 1)))
 
 
 def pfail_bound(d_min: float, m: int) -> float:

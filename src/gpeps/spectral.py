@@ -4,11 +4,10 @@ Two orthogonal projectors decompose simultaneously into one- and
 two-dimensional blocks; the squared cosines of the principal angles between
 their ranges are the block overlaps ``d_k``.  They are computed here as the
 squared singular values of the cross-Gram matrix of the orthonormal bases,
-clamped to [0, 1]; its entries are inner products of contiguous basis
-vectors (:func:`gpeps.lattice.gram`).  The cross-Gram is not Hermitian, so
-every entry is computed, where the self-Gram that builds a basis needs only
-its lower triangle.  The spectrum keeps only the SVD rotations of that
-cross-Gram: the principal vectors of P are ``p.basis @ spectrum.p_rotation``.
+clamped to [0, 1]; it is built by :func:`gpeps.lattice.gram`, the row-blocked
+kernel that also builds every basis.  The spectrum keeps only the SVD
+rotations of that cross-Gram: the principal vectors of P are
+``p.basis @ spectrum.p_rotation``.
 
 Block ``k`` is spanned by the principal vector ``r_k`` of P and the unit
 vector ``e_k`` along ``q_k - s_k r_k``, with ``s_k = sqrt(d_k)`` and
@@ -104,7 +103,7 @@ class OverlapBoundReport:
 def jordan_decompose(p: GroundProjector, q: GroundProjector) -> JordanSpectrum:
     """Principal overlaps of two projectors, with the SVD rotations of their
     cross-Gram ``p.basis^H q.basis`` as the paired principal directions.
-    The cross-Gram is read pair by pair, with no copy of either basis."""
+    The cross-Gram is summed over row blocks, with no copy of either basis."""
     if p.dim != q.dim:
         raise DimensionMismatch(f"ambient dimensions differ: {p.dim} vs {q.dim}")
     u, s, vh = np.linalg.svd(gram(p.basis, q.basis))

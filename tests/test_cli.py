@@ -26,7 +26,7 @@ from gpeps.groups import (
     UNITARITY_TOL,
     build_group,
 )
-from gpeps.tensors import REGROUP_TOL
+from gpeps.tensors import REGROUP_TOL, deformation_to_dict
 
 
 def _write(tmp_path, name, doc):
@@ -208,12 +208,44 @@ def test_resource_cap_exit_3(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("cap", [8192, 32768], ids=["twisted-stack", "projector-pass"])
 def test_resource_cap_counts_allocated_stacks_exit_3(tmp_path, capsys, monkeypatch, cap):
     # Z2 2x2: one state has 4096 amplitudes, the four twisted states 16384,
-    # and the two-step projector pass adds a normalized copy and two bases
+    # and the two-step projector pass adds two bases
     monkeypatch.setenv("GPEPS_MAX_AMPLITUDES", str(cap))
     cfg = _write(tmp_path, "o.json", {"group": "Z2", "lattice": {"width": 2, "height": 2}})
     code = main(["overlap", "--config", cfg, "--out", str(tmp_path)])
     assert "resource cap" in capsys.readouterr().err
     assert code == 3
+
+
+@pytest.mark.parametrize("cap,expected", [(49152, 0), (49151, 3)])
+def test_overlap_cap_is_the_stack_and_two_bases(tmp_path, capsys, monkeypatch, cap, expected):
+    # Z2 2x2: the pass holds the twisted stack (16384 amplitudes) and the
+    # bases of P_t and P_{t+1} (at most 16384 each), 49152 in all
+    monkeypatch.setenv("GPEPS_MAX_AMPLITUDES", str(cap))
+    cfg = _write(tmp_path, "o.json", {"group": "Z2", "lattice": {"width": 2, "height": 2}})
+    code = main(["overlap", "--config", cfg, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == expected
+    if expected:
+        assert "2 ground projectors needs 49152 amplitudes" in captured.err
+
+
+@pytest.mark.parametrize("claimed", [1.0, 1e6])
+def test_overlap_recomputes_kappa_of_a_deformation_file(tmp_path, capsys, claimed):
+    # the bound reads the condition number of the file's matrix, not the
+    # kappa_sym that the file claims
+    tensor = gpeps.build_site_tensor(gpeps.regular_rep(gpeps.build_group("Z2")))
+    docs = [deformation_to_dict(gpeps.random_deformation(tensor, 4.0, seed=30 + v, site=v))
+            for v in range(4)]
+    true_kappa = docs[1]["kappa_sym"]
+    assert true_kappa == pytest.approx(4.0)
+    docs[1]["kappa_sym"] = claimed
+    defs = _write(tmp_path, "defs.json", docs)
+    cfg = _write(tmp_path, "o.json", {"group": "Z2", "lattice": {"width": 2, "height": 2},
+                                      "step": 1, "deformations": {"mode": "file", "path": defs}})
+    code, payload = _run(capsys, ["overlap", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 0
+    assert payload["report"]["kappa"] == pytest.approx(true_kappa, rel=1e-12)
+    assert payload["report"]["bound"] == pytest.approx(true_kappa**-2, rel=1e-12)
 
 
 def test_sweep_cap_counts_live_stacks_exit_3(tmp_path, capsys, monkeypatch):
@@ -248,16 +280,18 @@ def test_numerical_failure_exit_4(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["verify-group", "verify-appendix"])
 def test_tolerances_are_module_constants(tmp_path, capsys, command):
-    # a "tolerances" object is not read: the report is the same without it,
-    # and every check quotes its module constant
+    # a "tolerances" object is not read, so it is rejected as an unknown
+    # key, and every check quotes its module constant
     plain = _write(tmp_path, "plain.json", {"group": "S3"})
     loose = _write(tmp_path, "loose.json", {
         "group": "S3", "tolerances": {"rep_unitarity": 1.0, "gram": 1.0, "x": None},
     })
     assert main([command, "--config", plain]) == 0
     expected = capsys.readouterr().out
-    assert main([command, "--config", loose]) == 0
-    assert capsys.readouterr().out == expected
+    assert main([command, "--config", loose]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'tolerances'" in captured.err
     report = json.loads(expected)["report"]
     if command == "verify-group":
         tolerances = {c["name"]: c["tolerance"] for c in report["checks"]}
@@ -335,13 +369,20 @@ BAD_CONFIGS = {
     "integer-check-invariants": ("simulate", {"check_invariants": 1}),
     **{f"array-config-{command}": (command, ["group", "Z2"])
        for command in ("verify-group", "verify-appendix", "overlap", "simulate", "sweep")},
+    # a top-level key that the command does not read
+    "unknown-key-simulate": ("simulate", {"trails": 5}),
+    "unknown-key-overlap": ("overlap", {"trials": 5}),
+    "unknown-key-sweep": ("sweep", {"deformations": {"mode": "identity"}}),
+    "unknown-key-verify-group": ("verify-group", {"lattice": {"width": 2, "height": 1}}),
+    "unknown-key-verify-appendix": ("verify-appendix", {"seed": 1}),
 }
 
 
 @pytest.mark.parametrize("command,doc", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
 def test_bad_config_exit_2(tmp_path, capsys, command, doc):
     if isinstance(doc, dict):  # a list is the whole document
-        doc = {"group": "Z2", "lattice": {"width": 2, "height": 1}, **doc}
+        lattice = {} if command.startswith("verify") else {"lattice": {"width": 2, "height": 1}}
+        doc = {"group": "Z2", **lattice, **doc}
     cfg = _write(tmp_path, "bad.json", doc)
     code = main([command, "--config", cfg, "--out", str(tmp_path)])
     assert code == 2

@@ -302,17 +302,26 @@ def test_load_state_rejects_truncated_or_mismatched_file(tmp_path, lat22, z2_twi
         gp.load_state(base)
 
 
+def _site_chain(lat, row, defs, t):
+    """The unnormalized ``_apply_site`` chain of one twisted state."""
+    for v in range(t):
+        row = lattice._apply_site(row, lat.n_vertices, v, defs[v].matrix)
+    return row
+
+
 def test_one_pass_projectors_match_from_scratch_bit_for_bit(z2, lat22, z2_twisted):
     # the incremental pass must reproduce the from-scratch columns exactly,
-    # so that traces replay bit for bit
+    # so that traces replay bit for bit; partial_peps_state is the same
+    # chain, normalized
     _, _, tensor = z2
     defs = [gp.random_deformation(tensor, 3.0, seed=90 + v, site=v) for v in range(4)]
     one_pass = gp.ground_projectors(lat22, z2_twisted.copy(), defs, range(5))
     for t, projector in enumerate(one_pass):
-        scratch = gp.projector_from_columns(
-            stack_columns(gp.partial_peps_state(_state(lat22, row), defs, t=t) for row in z2_twisted),
-            step=t,
-        )
+        chains = [_site_chain(lat22, row, defs, t) for row in z2_twisted]
+        for row, chain in zip(z2_twisted, chains):
+            state = gp.partial_peps_state(_state(lat22, row), defs, t=t)
+            assert np.array_equal(state.amplitudes, chain * (1.0 / np.linalg.norm(chain)))
+        scratch = gp.projector_from_columns(np.array(chains).T, step=t)
         alone = gp.ground_projector(lat22, z2_twisted, defs, t)
         assert projector.step == t
         assert np.array_equal(projector.basis, scratch.basis)
@@ -369,9 +378,40 @@ def test_projector_from_columns_matches_svd(dim, m, zero):
     rng = np.random.default_rng(dim + m)
     columns = rng.normal(size=(dim, m)) + 1j * rng.normal(size=(dim, m))
     columns /= np.linalg.norm(columns, axis=0)
-    if zero is not None:
-        columns[:, zero] = 0.0
-    _assert_matches_svd_oracle(columns)
+    if zero is None:
+        _assert_matches_svd_oracle(columns)
+        return
+    # a zero column has no normalized direction: the pass reports it
+    columns[:, zero] = 0.0
+    with pytest.raises(ZeroState, match=f"column {zero}"):
+        projector_from_columns(columns)
+
+
+def test_projector_from_columns_normalizes_inside_the_gram():
+    # unequal column norms give the basis and coordinates of the normalized stack
+    rng = np.random.default_rng(12)
+    columns = rng.normal(size=(700, 5)) + 1j * rng.normal(size=(700, 5))
+    columns[:, 3] = columns[:, 0] + columns[:, 1]  # rank 4
+    scaled = columns * np.array([1e-6, 3.0, 1.0, 250.0, 1e4])
+    normalized = columns / np.linalg.norm(columns, axis=0)
+    projector = projector_from_columns(scaled)
+    assert projector.rank == 4
+    _assert_matches_svd_oracle(normalized)
+    assert np.abs(projector.basis @ projector.column_coordinates - normalized).max() < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 4, 9, 18])
+def test_gram_sums_row_blocks(m):
+    # row counts on, around and far past a block boundary of the first stack
+    rng = np.random.default_rng(m)
+    block = lattice.GRAM_BLOCK_BYTES // (16 * m)
+    for dim in [1, block - 1, block, block + 1, 3 * block + 7]:
+        a = rng.normal(size=(dim, m)) + 1j * rng.normal(size=(dim, m))
+        b = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        for other in (a, b, np.asfortranarray(b)):
+            got = lattice.gram(a, other)
+            assert got.shape == (m, other.shape[1])
+            assert np.allclose(got, a.conj().T @ other, rtol=0.0, atol=1e-12 * dim), dim
 
 
 def test_projector_from_columns_matches_svd_on_s3_stack():

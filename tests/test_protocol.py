@@ -1,5 +1,7 @@
 """Measure/rewind protocol, failure law, repetition rule."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,10 @@ from gpeps.errors import (
     UnnormalizedWeights,
 )
 from gpeps.lattice import projector_from_columns
+from gpeps import protocol
 from gpeps.protocol import (
+    _enter,
+    _run_step,
     aggregate_step_stats,
     analytic_pfail,
     curve_from_spectrum,
@@ -21,7 +26,7 @@ from gpeps.protocol import (
     run_protocol,
     trace_to_dict,
 )
-from gpeps.spectral import jordan_decompose
+from gpeps.spectral import JordanSpectrum, born_measure, jordan_decompose
 
 from dense_oracle import empirical_step_failures
 
@@ -57,9 +62,58 @@ def test_estimate_repetitions_invalid_epsilon():
 
 def test_analytic_pfail_closed_form():
     assert analytic_pfail([1.0], [1.0], 5) == 0.0
-    assert analytic_pfail([0.5], [1.0], 1) == pytest.approx(0.25)  # (1-d)(1-2d(1-d))
+    assert analytic_pfail([0.5], [1.0], 1) == pytest.approx(0.5)  # 1 - d: one forward attempt
     with pytest.raises(UnnormalizedWeights):
         analytic_pfail([0.5, 0.5], [0.7, 0.7], 1)
+
+
+class _ScriptedDraws:
+    """Draws that ask each measurement to fire (0.0) or not (just below 1)."""
+
+    def __init__(self, fire):
+        self._draws = iter([0.0 if bit else np.nextafter(1.0, 0.0) for bit in fire])
+
+    def random(self):
+        return next(self._draws)
+
+
+def _enumerated_pfail(overlaps, weights, m, monkeypatch):
+    """Failure probability of ``_run_step`` from its whole outcome tree: every
+    branch is forced by scripted draws, and weighted by the probabilities
+    that ``born_measure`` returns along it."""
+    k = len(overlaps)
+    spectrum = JordanSpectrum(
+        overlaps=np.asarray(overlaps), p_rotation=np.eye(k), q_rotation=np.eye(k),
+        rank_p=k, rank_q=k,
+    )
+    entering = _enter(spectrum, np.sqrt(np.asarray(weights)).astype(complex))
+    probabilities = []
+
+    def recording(state, axis, rng):
+        inside, post, probability = born_measure(state, axis, rng)
+        probabilities.append(probability)
+        return inside, post, probability
+
+    monkeypatch.setattr(protocol, "born_measure", recording)
+    branches = {}
+    for fire in itertools.product([0, 1], repeat=2 * m - 1):
+        probabilities.clear()
+        success, bits, _, _ = _run_step(entering, spectrum, m, _ScriptedDraws(fire))
+        branches[tuple(bits)] = (success, float(np.prod(probabilities)))
+    assert sum(p for _, p in branches.values()) == pytest.approx(1.0, abs=1e-12)
+    return sum(p for success, p in branches.values() if not success)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_analytic_pfail_matches_the_outcome_tree(blocks, monkeypatch):
+    rng = np.random.default_rng(blocks)
+    overlaps = [0.5] if blocks == 1 else rng.uniform(0.05, 0.95, size=blocks)
+    weights = [1.0] if blocks == 1 else rng.dirichlet(np.ones(blocks))
+    for m in range(1, 5):
+        enumerated = _enumerated_pfail(overlaps, weights, m, monkeypatch)
+        assert abs(enumerated - analytic_pfail(overlaps, weights, m)) <= 1e-12, m
+        if blocks == 1:
+            assert enumerated == pytest.approx(0.5**m, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(8))
