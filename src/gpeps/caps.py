@@ -3,9 +3,9 @@
 Every dense object that grows with the lattice or the representation is
 counted against the cap before it is allocated, and only through
 :func:`check_amplitudes`: one contracted state, the stack of twisted
-states, a projector pass (the stack and one basis per requested step), the
-live stacks of ``gpeps sweep``, the dense site map and the regrouping Gram
-matrix.  A count above the cap raises :class:`DimensionOverflow` (exit 3).
+states, a projector pass (two stacks), the live stacks of ``gpeps sweep``
+(three), the dense site maps and the regrouping Gram matrix.  A count
+above the cap raises :class:`DimensionOverflow` (exit 3).
 """
 
 from __future__ import annotations

@@ -72,9 +72,7 @@ def _load_config(path: str | None, command: str) -> Mapping:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     cfg = _object(cfg, "config")
-    unknown = sorted(set(cfg) - _CONFIG_KEYS[command])
-    if unknown:
-        raise ConfigError(f"{command} reads only {sorted(_CONFIG_KEYS[command])}, not {unknown}")
+    _known_keys(cfg, _CONFIG_KEYS[command], command)
     return cfg
 
 
@@ -83,6 +81,13 @@ def _object(value, name: str) -> Mapping:
     if not isinstance(value, Mapping):
         raise ConfigError(f"{name} must be an object, got {value!r}")
     return value
+
+
+def _known_keys(spec: Mapping, keys: set[str], name: str) -> None:
+    """Report a key of ``spec`` outside ``keys`` as a config error."""
+    unknown = sorted(set(spec) - keys)
+    if unknown:
+        raise ConfigError(f"{name} reads only {sorted(keys)}, not {unknown}")
 
 
 def _scalar(value, kind: type, name: str):
@@ -114,7 +119,8 @@ def _resolve_group_rep(cfg: Mapping):
 
 
 def _resolve_lattice(cfg: Mapping) -> TorusLattice:
-    lat = cfg.get("lattice", {"width": 2, "height": 2})
+    lat = _object(cfg.get("lattice", {"width": 2, "height": 2}), "lattice")
+    _known_keys(lat, {"width", "height"}, "lattice")
     try:
         return TorusLattice.build(int(lat["width"]), int(lat["height"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -133,6 +139,8 @@ def _resolve_deformations(cfg: Mapping, tensor, n_vertices: int, seed: int):
     if not isinstance(spec, Mapping):
         raise ConfigError(f"deformations must be an object with a 'mode', got {spec!r}")
     mode = spec.get("mode", "identity")
+    if mode in _DEFORMATION_KEYS:
+        _known_keys(spec, _DEFORMATION_KEYS[mode], f"deformations mode {mode!r}")
     if mode == "identity":
         return [identity_deformation(tensor, site=v) for v in range(n_vertices)]
     if mode == "random":
@@ -374,9 +382,8 @@ def cmd_sweep(cfg: dict, args) -> int:
         raise ConfigError(f"instances must be >= 1, got {instances}")
     tensor = build_site_tensor(rep)
     twisted = twisted_states(lattice, tensor)
-    # live at once: the twisted stack, one ground_projector copy of it, and
-    # the bases of P_t and P_{t+1}, each at most as large as the stack
-    check_amplitudes(4 * twisted.size, "sweep (twisted stack, its copy and two bases)")
+    # live at once: the twisted stack and the copies that P_t and P_{t+1} hold
+    check_amplitudes(3 * twisted.size, "sweep (twisted stack and two projector copies)")
     rows = []
     worst = np.inf
     for kappa in kappas:
@@ -386,9 +393,11 @@ def cmd_sweep(cfg: dict, args) -> int:
                 random_deformation(tensor, kappa, seed=inst_seed + v, site=v)
                 for v in range(lattice.n_vertices)
             ]
-            p_t = ground_projector(lattice, twisted, deformations, step)
-            p_next = ground_projector(lattice, twisted, deformations, step + 1)
-            spectrum = jordan_decompose(p_t, p_next)
+            # the projectors are freed with their copies once compared
+            spectrum = jordan_decompose(
+                ground_projector(lattice, twisted, deformations, step),
+                ground_projector(lattice, twisted, deformations, step + 1),
+            )
             realized = deformations[step].kappa_sym
             margin = spectrum.d_min - realized**-2
             worst = min(worst, margin)
@@ -470,6 +479,13 @@ _CONFIG_KEYS = {
         "lattice", "seed", "trials", "epsilon", "m", "check_invariants", "deformations",
     },
     "sweep": _GROUP_KEYS | {"lattice", "seed", "step", "kappas", "instances"},
+}
+
+# the keys of each deformations mode
+_DEFORMATION_KEYS = {
+    "identity": {"mode"},
+    "random": {"mode", "kappa", "seed"},
+    "file": {"mode", "path"},
 }
 
 _HANDLERS = {

@@ -20,7 +20,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -105,18 +105,33 @@ class StateVector:
         return self.amplitudes.size
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class GroundProjector:
-    """Orthonormal-basis representation of a ground-space projector."""
+    """A ground space in the coordinates of the stack ``X`` that spans it:
+    its orthonormal basis is ``X W`` for the ``(m, rank)`` ``transform``
+    ``W``, and is never stored.  ``columns`` holds ``X`` until the pass
+    that built it needs the buffer back and sets it to None.
+    """
 
     step: int
-    basis: np.ndarray  # (dim, rank), orthonormal columns
     rank: int
-    column_coordinates: np.ndarray  # (rank, m): basis^H times the m input columns
+    dim: int
+    transform: np.ndarray  # (m, rank): N^-1 V S^-1, so that basis = columns @ transform
+    column_coordinates: np.ndarray  # (rank, m): basis^H times the m normalized columns
+    columns: np.ndarray | None  # (dim, m) stack X, while held
 
     @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
+    def basis(self) -> np.ndarray:
+        """The ``(dim, rank)`` orthonormal basis ``X W``, built column-major
+        on every read; only tests and the dense oracle read it."""
+        if self.columns is None:
+            raise RuntimeError(f"P_{self.step} has released its stack")
+        basis = np.empty(
+            (self.dim, self.rank), dtype=np.result_type(self.columns, self.transform), order="F"
+        )
+        # row-major basis^T = W^T X^T
+        np.matmul(self.transform.T, self.columns.T, out=basis.T)
+        return basis
 
     def coefficients(self, vector: np.ndarray) -> np.ndarray:
         """``basis^H vector``, conjugating the vector instead of the basis
@@ -137,15 +152,15 @@ def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def projector_from_columns(columns: np.ndarray, step: int = 0) -> GroundProjector:
     """Rank-revealing orthonormalization of the normalized columns of a
-    (dim, m) stack ``X``, which is never normalized or copied.
+    (dim, m) stack ``X``, which is held, never normalized or copied.
 
     With ``G = X^H X`` and the column norms ``n = sqrt(diag G)``, the
     normalized Gram ``G / (n n^T) = V S² V^H`` reveals the rank: eigenvalues
     above ``PROJECTOR_RANK_TOL`` times the largest are kept, a relative cut
     on ``S²``.  A column with ``n_k <= ZERO_STATE_TOL`` raises
-    :class:`ZeroState`.  The basis is ``X N^-1 V S^-1``, stored column-major
-    so that every basis vector is contiguous, and the kept rows of
-    ``S V^H`` are the coordinates of the normalized columns.
+    :class:`ZeroState`.  The basis is ``X W`` with ``W = N^-1 V S^-1``, and
+    the kept rows of ``S V^H`` are the coordinates of the normalized
+    columns; nothing of the size of ``X`` is allocated.
     """
     g = gram(columns, columns)
     norms = np.sqrt(g.diagonal().real)
@@ -158,11 +173,13 @@ def projector_from_columns(columns: np.ndarray, step: int = 0) -> GroundProjecto
     eigenvalues, v = eigenvalues[::-1], v[:, ::-1]  # descending, like singular values
     keep = eigenvalues > PROJECTOR_RANK_TOL * (eigenvalues[0] if eigenvalues.size else 0.0)
     s, v = np.sqrt(eigenvalues[keep]), v[:, keep]
-    basis = np.empty((columns.shape[0], s.size), dtype=np.result_type(columns, v), order="F")
-    # row-major basis^T = (N^-1 V S^-1)^T X^T
-    np.matmul((v / np.outer(norms, s)).T, columns.T, out=basis.T)
     return GroundProjector(
-        step=step, basis=basis, rank=s.size, column_coordinates=s[:, None] * v.conj().T
+        step=step,
+        rank=s.size,
+        dim=columns.shape[0],
+        transform=v / np.outer(norms, s),
+        column_coordinates=s[:, None] * v.conj().T,
+        columns=columns,
     )
 
 
@@ -286,42 +303,60 @@ def partial_peps_state(
     )
 
 
+def twisted_stacks(
+    lattice: TorusLattice,
+    columns: np.ndarray,
+    deformations: Sequence[Deformation],
+    last: int,
+    spare: np.ndarray | None = None,
+) -> Iterator[np.ndarray]:
+    """Yield ``X_0 = columns`` (rows of :func:`twisted_states`) and then
+    ``X_{t+1} = M_t X_t`` up to ``X_last``, advancing every row in place, or
+    with ``spare`` into the buffer of ``X_{t-1}``, so that ``X_t`` stays
+    valid next to ``X_{t+1}``.  Each row equals the unnormalized
+    ``_apply_site`` chain of its twisted state bit for bit
+    (:func:`partial_peps_state` is that chain, normalized).
+    """
+    target = columns if spare is None else spare
+    for t in range(last + 1):
+        if t:
+            matrix = deformations[t - 1].matrix
+            for k in range(len(columns)):
+                target[k] = _apply_site(columns[k], lattice.n_vertices, t - 1, matrix)
+            columns, target = target, columns
+        yield columns
+
+
 def ground_projectors(
     lattice: TorusLattice,
     columns: np.ndarray,
     deformations: Sequence[Deformation],
     steps: Sequence[int],
-) -> list[GroundProjector]:
-    """Ground projectors ``P_t`` for the ascending ``steps``, from one pass.
+) -> Iterator[GroundProjector]:
+    """Yield ``P_t`` for the ascending ``steps`` from one pass of
+    :func:`twisted_stacks` over ``columns`` (spent) and one spare stack,
+    which the amplitude cap counts first.
 
     ``P_t`` spans the twisted partial PEPS with deformations on vertices
-    ``0 .. t-1``.  Row ``k`` of ``columns`` starts as the ``k``-th state of
-    :func:`twisted_states`, and step ``t`` advances every row by one vertex
-    in place (``X_{t+1} = M_t X_t``), which spends ``columns``.  The rows
-    are never normalized: :func:`projector_from_columns` normalizes them
-    inside its Gram matrix, so no copy of the stack is made, and every row
-    equals the unnormalized ``_apply_site`` chain of its twisted state bit
-    for bit (:func:`partial_peps_state` is that chain, normalized).
-
-    Linear dependence among the twisted states ("over-spanning") is
-    expected and absorbed by the rank-revealing orthogonalization.
-
-    The amplitude cap counts the rows and one basis of at most
-    ``len(columns)`` vectors per step, before any of them is allocated.
+    ``0 .. t-1`` and holds ``X_t``.  When ``P_t`` is yielded, ``P_{t-1}``
+    still holds its stack, so the two can be compared
+    (:func:`gpeps.spectral.jordan_decompose`); it is released before
+    ``X_{t+1}`` overwrites it.  Linear dependence among the twisted states
+    is absorbed by the rank-revealing orthonormalization.
     """
     n_sites = lattice.n_vertices
     if steps[0] < 0 or steps[-1] > n_sites:
         raise ValueError(f"steps must lie in [0, {n_sites}], got {list(steps)}")
-    check_amplitudes((1 + len(steps)) * columns.size, f"{len(steps)} ground projectors")
-    projectors = []
-    for t in range(steps[-1] + 1):
-        if t:
-            matrix = deformations[t - 1].matrix
-            for k in range(len(columns)):
-                columns[k] = _apply_site(columns[k], n_sites, t - 1, matrix)
-        if t in steps:
-            projectors.append(projector_from_columns(columns.T, step=t))
-    return projectors
+    check_amplitudes(2 * columns.size, "ground-projector pass (two stacks)")
+    stacks = twisted_stacks(lattice, columns, deformations, steps[-1], np.empty_like(columns))
+    previous = None  # the projector on the buffer that X_{t+1} takes
+    for t, stack in enumerate(stacks):
+        current = projector_from_columns(stack.T, step=t) if t in steps else None
+        if current is not None:
+            yield current
+        if previous is not None and t < steps[-1]:
+            previous.columns = None
+        previous = current
 
 
 def ground_projector(
@@ -330,8 +365,13 @@ def ground_projector(
     deformations: Sequence[Deformation],
     t: int,
 ) -> GroundProjector:
-    """``P_t`` alone: :func:`ground_projectors` on a copy of ``twisted``."""
-    return ground_projectors(lattice, twisted.copy(), deformations, [t])[0]
+    """``P_t`` alone, on a copy of ``twisted`` advanced in place; the
+    projector holds the copy.  The amplitude cap counts the copy."""
+    if not 0 <= t <= lattice.n_vertices:
+        raise ValueError(f"t = {t} outside [0, {lattice.n_vertices}]")
+    check_amplitudes(twisted.size, "ground projector (a copy of the twisted stack)")
+    *_, stack = twisted_stacks(lattice, twisted.copy(), deformations, t)
+    return projector_from_columns(stack.T, step=t)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,12 @@ is evaluated in the coordinates of each step's ground-space basis.
 
 Trials run in Jordan-block coordinates (see :mod:`gpeps.spectral`): a
 step never leaves the blocks of its two projectors, so one measurement
-costs O(r) for ground-space rank r, whatever the size of the lattice.
-Only a failed trial rebuilds its dense state, once, for the final
-readout.  The dense trial loop is kept as a test oracle, not here.
+costs O(r) for ground-space rank r, whatever the size of the lattice.  No
+dense basis or state is ever built: the preparation keeps only the final
+stack ``X_N``, and a failed trial reads its final coordinates through the
+``r x r`` cross-Grams of the final basis with every step's basis, which
+the first failed trial computes in one more pass.  The dense trial loop is
+kept as a test oracle, not here.
 
 Monte Carlo trials use independent counter-based random streams derived
 from the configured seed, so traces replay bit-identically.
@@ -36,7 +39,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BoundViolation, InvalidEpsilon, StateOutsideProjector, UnnormalizedWeights
-from .lattice import GroundProjector, TorusLattice, ground_projectors, twisted_states
+from .lattice import (
+    GroundProjector,
+    TorusLattice,
+    gram,
+    ground_projectors,
+    twisted_stacks,
+    twisted_states,
+)
 from .spectral import (
     OCCUPATION_TOL,
     ZERO_OVERLAP_TOL,
@@ -108,7 +118,11 @@ class FailureCurve:
 
 @dataclass(eq=False)
 class PreparedProtocol:
-    """Projectors, spectra and entering coordinates shared by all trials."""
+    """Projectors, spectra and entering coordinates shared by all trials.
+
+    Only the final projector holds its stack; the others keep their
+    ``m x r`` transforms.
+    """
 
     config: ProtocolConfig
     projectors: list[GroundProjector]
@@ -121,6 +135,21 @@ class PreparedProtocol:
     @property
     def n_steps(self) -> int:
         return self.config.lattice.n_vertices
+
+    @functools.cached_property
+    def final_grams(self) -> list[np.ndarray]:
+        """``B_N^H B_t`` for t = 0..N: the cross-Grams of the final basis
+        with every step's basis, from one more pass over freshly contracted
+        twisted states, advanced in place next to the final stack ``X_N``.
+        Only failed trials read them, so the first one runs the pass."""
+        config = self.config
+        final = self.projectors[-1]
+        columns = twisted_states(config.lattice, config.tensor)
+        stacks = twisted_stacks(config.lattice, columns, config.deformations, self.n_steps)
+        return [
+            final.transform.conj().T @ gram(final.columns, stack.T) @ projector.transform
+            for projector, stack in zip(self.projectors, stacks)
+        ]
 
 
 def estimate_repetitions(n_vertices: int, kappa: float, epsilon: float) -> int:
@@ -144,7 +173,8 @@ def analytic_pfail(overlaps: Sequence[float], weights: Sequence[float], m: int) 
     if d.shape != w.shape:
         raise ValueError("overlaps and weights must have matching shapes")
     if np.any(d < -1e-12) or np.any(d > 1.0 + 1e-12):
-        raise ValueError(f"overlaps must lie in [0, 1], got range [{d.min()}, {d.max()}]")
+        # overlaps are clamped squared singular values: only a bug gets here
+        raise BoundViolation(f"overlaps must lie in [0, 1], got range [{d.min()}, {d.max()}]")
     total = float(w.sum())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise UnnormalizedWeights(f"weights sum to {total!r}, expected 1")
@@ -201,13 +231,15 @@ def prepare_protocol(config: ProtocolConfig) -> PreparedProtocol:
     twisted = twisted_states(lattice, tensor)
     e = tensor.rep.group.identity
     untwisted = tensor.rep.group.commuting_pairs().index((e, e))
-    projectors = ground_projectors(lattice, twisted, config.deformations, range(n + 1))
-    del twisted  # spent by the pass; free it before the spectra
-    spectra = [
-        jordan_decompose(projectors[t], projectors[t + 1]) for t in range(n)
-    ]
-    for spectrum in spectra:  # trials assume square P rotations
-        _check_rank(spectrum)
+    projectors: list[GroundProjector] = []
+    spectra: list[JordanSpectrum] = []
+    for projector in ground_projectors(lattice, twisted, config.deformations, range(n + 1)):
+        if projectors:  # P_t and P_{t+1} both hold their stacks here
+            spectra.append(jordan_decompose(projectors[-1], projector))
+            _check_rank(spectra[-1])  # trials assume square P rotations
+        projectors.append(projector)
+    del twisted  # spent by the pass
+    projectors[-2].columns = None  # only X_N stays, for failed-trial readouts
 
     if config.m_policy == "auto":
         m = estimate_repetitions(n, kappa_max, config.epsilon)
@@ -239,17 +271,19 @@ def _enter(spectrum: JordanSpectrum, coordinates: np.ndarray) -> np.ndarray:
     return state
 
 
-def _dense_state(prepared: PreparedProtocol, t: int, state: np.ndarray) -> np.ndarray:
-    """The dense vector ``sum_k alpha_k r_k + beta_k e_k`` of a state in the
-    blocks of step ``t``, rebuilt from the bases of ``P_t`` and ``P_{t+1}``."""
+def _final_coordinates(prepared: PreparedProtocol, t: int, state: np.ndarray) -> np.ndarray:
+    """Coordinates in the basis of ``P_N`` of the state
+    ``sum_k alpha_k r_k + beta_k e_k`` in the blocks of step ``t``: with its
+    coordinates ``p`` and ``q`` in the bases of ``P_t`` and ``P_{t+1}``,
+    they are ``B_N^H B_t p + B_N^H B_{t+1} q``."""
     spectrum = prepared.spectra[t]
     s, c = spectrum.q_axis
     # beta_k e_k = (beta_k / c_k) (q_k - s_k r_k); beta_k is 0 where c_k is
     along_q = np.divide(state[1], c, out=np.zeros_like(state[1]), where=c > 0.0)
     p_coordinates = spectrum.p_rotation @ (state[0] - s * along_q)
     q_coordinates = spectrum.q_rotation @ along_q
-    previous, target = prepared.projectors[t : t + 2]
-    return previous.basis @ p_coordinates + target.basis @ q_coordinates
+    grams = prepared.final_grams
+    return grams[t] @ p_coordinates + grams[t + 1] @ q_coordinates
 
 
 def _invariant_check(spectrum: JordanSpectrum, entering: np.ndarray):
@@ -321,9 +355,9 @@ def run_protocol(prepared: PreparedProtocol, trial: int = 0) -> ProtocolTrace:
     Each step enters in the blocks of its two projectors at ``(U^H y, 0)``
     and a success leaves at ``y' = V q``, with ``y`` and ``y'`` the state's
     coordinates in the bases of ``P_t`` and ``P_{t+1}``.  Per-step
-    exhaustion marks the trace as failed, and a failed trial rebuilds its
-    dense state once for the final readout.  Successful runs are verified
-    to end inside the final ground space.
+    exhaustion marks the trace as failed, and a failed trial reads its
+    final coordinates through :attr:`PreparedProtocol.final_grams`.
+    Successful runs are verified to end inside the final ground space.
     """
     config = prepared.config
     rng = measurement_stream(config.seed, trial)
@@ -344,8 +378,7 @@ def run_protocol(prepared: PreparedProtocol, trial: int = 0) -> ProtocolTrace:
             break
         coordinates = spectrum.q_rotation @ (spectrum.q_axis * state).sum(axis=0)
     if failed_step is not None:
-        final = prepared.projectors[prepared.n_steps]
-        coordinates = final.coefficients(_dense_state(prepared, failed_step - 1, state))
+        coordinates = _final_coordinates(prepared, failed_step - 1, state)
     fidelity = float(np.linalg.norm(coordinates) ** 2)
     success = failed_step is None
     if success and fidelity < 1.0 - SUCCESS_FIDELITY_TOL:

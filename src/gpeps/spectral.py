@@ -4,10 +4,11 @@ Two orthogonal projectors decompose simultaneously into one- and
 two-dimensional blocks; the squared cosines of the principal angles between
 their ranges are the block overlaps ``d_k``.  They are computed here as the
 squared singular values of the cross-Gram matrix of the orthonormal bases,
-clamped to [0, 1]; it is built by :func:`gpeps.lattice.gram`, the row-blocked
-kernel that also builds every basis.  The spectrum keeps only the SVD
-rotations of that cross-Gram: the principal vectors of P are
-``p.basis @ spectrum.p_rotation``.
+clamped to [0, 1].  Neither basis is built: with ``B = X W`` for each
+projector's stack ``X`` and transform ``W``, the cross-Gram is
+``W_P^H (X_P^H X_Q) W_Q``, and ``X_P^H X_Q`` is an ``m x m`` matrix from
+:func:`gpeps.lattice.gram`.  The spectrum keeps only the SVD rotations of
+that cross-Gram: the principal vectors of P are ``B_P @ spectrum.p_rotation``.
 
 Block ``k`` is spanned by the principal vector ``r_k`` of P and the unit
 vector ``e_k`` along ``q_k - s_k r_k``, with ``s_k = sqrt(d_k)`` and
@@ -101,12 +102,14 @@ class OverlapBoundReport:
 
 
 def jordan_decompose(p: GroundProjector, q: GroundProjector) -> JordanSpectrum:
-    """Principal overlaps of two projectors, with the SVD rotations of their
-    cross-Gram ``p.basis^H q.basis`` as the paired principal directions.
-    The cross-Gram is summed over row blocks, with no copy of either basis."""
+    """Principal overlaps of two projectors that hold their stacks, with the
+    SVD rotations of the cross-Gram of their bases,
+    ``p.transform^H gram(p.columns, q.columns) q.transform``, as the paired
+    principal directions.  Only ``m x m`` matrices are allocated."""
     if p.dim != q.dim:
         raise DimensionMismatch(f"ambient dimensions differ: {p.dim} vs {q.dim}")
-    u, s, vh = np.linalg.svd(gram(p.basis, q.basis))
+    cross = p.transform.conj().T @ gram(p.columns, q.columns) @ q.transform
+    u, s, vh = np.linalg.svd(cross)
     k = min(p.rank, q.rank)
     return JordanSpectrum(
         overlaps=np.clip(s[:k] ** 2, 0.0, 1.0),

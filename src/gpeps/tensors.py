@@ -93,13 +93,20 @@ def _weighted_unitaries(rep: SemiRegularRep, delta: DeltaMap, power: int = 1) ->
 
 
 def _eq2_matrix(rep: SemiRegularRep, delta: DeltaMap) -> np.ndarray:
-    """Dense site map ``A`` in the arithmetic of :func:`_weighted_unitaries`."""
+    """Dense site map ``A`` in the arithmetic of :func:`_weighted_unitaries`.
+
+    Each term is the Kronecker product ``Ubar x Ubar x U x U`` with the
+    products taken in the same order, added through an axis view of the
+    accumulator, so that only the accumulator and one term are live."""
     du = _weighted_unitaries(rep, delta)
     duc = du.conj()
     D = rep.total_dim
+    outer = np.multiply.outer
     acc = np.zeros((D**4, D**4), dtype=du.dtype)
+    by_leg = acc.reshape((D,) * 8)  # row legs (i, k, m, p), then column legs (j, l, n, q)
+    rows_first = (0, 2, 4, 6, 1, 3, 5, 7)  # from the outer product's (i, j, k, l, m, n, p, q)
     for g in range(rep.group.order):
-        acc += np.kron(np.kron(np.kron(duc[g], duc[g]), du[g]), du[g])
+        by_leg += outer(outer(outer(duc[g], duc[g]), du[g]), du[g]).transpose(rows_first)
     acc /= rep.group.order
     return acc
 
@@ -109,14 +116,18 @@ def build_site_tensor(rep: SemiRegularRep) -> SiteTensor:
 
     The clean-up, ``eigh``, rank cut and compression run in the dtype
     :func:`_eq2_matrix` chose from the representation; nothing after it
-    looks at the values of ``A`` to choose again.  Raises
-    :class:`DimensionOverflow` when the dense ``D^4 x D^4`` matrix would
-    exceed the amplitude cap, and :class:`BoundViolation` when the rank cut
-    disagrees with the character count of ``S_G``.
+    looks at the values of ``A`` to choose again.  The amplitude cap counts
+    three dense ``D^4 x D^4`` matrices: ``A`` with one Kronecker term or
+    its conjugate while it is built, and during ``eigh`` ``A``, the
+    eigenvectors and LAPACK's copy of ``A`` (not its workspace).  Raises
+    :class:`DimensionOverflow` when they would exceed the cap, and
+    :class:`BoundViolation` when the rank cut disagrees with the character
+    count of ``S_G``.
     """
-    check_amplitudes((rep.total_dim**4) ** 2, "dense site map")
+    check_amplitudes(3 * (rep.total_dim**4) ** 2, "dense site map (three live copies)")
     matrix = _eq2_matrix(rep, delta_map(rep))
-    matrix = (matrix + matrix.conj().T) / 2.0  # clean Hermiticity at roundoff level
+    matrix += matrix.conj().T  # clean Hermiticity at roundoff level, in place
+    matrix /= 2.0
     evals, evecs = np.linalg.eigh(matrix)
     evals = evals[::-1]
     evecs = evecs[:, ::-1]
@@ -128,6 +139,7 @@ def build_site_tensor(rep: SemiRegularRep) -> SiteTensor:
     if sym_dim != count:
         raise BoundViolation(f"symmetric subspace has rank {sym_dim}, character count {count}")
     sym_basis = np.ascontiguousarray(evecs[:, keep])
+    del evecs  # a dense map: free it before the compression
     return SiteTensor(
         rep=rep,
         sym_basis=sym_basis.astype(complex, copy=False),

@@ -1,10 +1,13 @@
 """Dense trial path, kept as the test oracle of the block-coordinate trials.
 
 Every measurement here reads a ``(dim, rank)`` ground-space basis and
-collapses a full ``sym_dim**N`` state vector; :func:`block_monitor`
-builds the dense principal vectors and checks that the state never leaves
-the principal blocks occupied on entry.  The package runs the same trials
-in Jordan-block coordinates; these functions give the reference bits,
+collapses a full ``sym_dim**N`` state vector.  The package never builds
+these bases; :func:`dense_bases` builds them here, one
+:func:`gpeps.lattice.ground_projector` per step, in the gauge of the
+prepared protocol's transforms.  :func:`block_monitor` builds the dense
+principal vectors and checks that the state never leaves the principal
+blocks occupied on entry.  The package runs the same trials in
+Jordan-block coordinates; these functions give the reference bits,
 measurement counts, fidelities and block weights they must reproduce.
 
 Two helpers that only tests need live here too: :func:`decompress_state`
@@ -21,12 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from gpeps.caps import check_amplitudes
-from gpeps.errors import BoundViolation, DimensionMismatch, StateOutsideProjector
+from gpeps.errors import BoundViolation, StateOutsideProjector
 from gpeps.lattice import (
-    GroundProjector,
     StateVector,
     contract_isometric_state,
+    ground_projector,
     projector_from_columns,
+    twisted_states,
 )
 from gpeps.protocol import (
     CONTAINMENT_TOL,
@@ -63,19 +67,38 @@ def initial_state(config: ProtocolConfig) -> StateVector:
     return contract_isometric_state(config.lattice, config.tensor)
 
 
+def dense_bases(config: ProtocolConfig) -> list[np.ndarray]:
+    """The orthonormal bases of ``P_0 .. P_N`` for ``config``'s instance,
+    each from its own :func:`ground_projector`: the same stack bits and so
+    the same transform as the prepared protocol's pass."""
+    return _dense_bases(config.lattice, config.tensor, config.deformations)
+
+
+@functools.lru_cache(maxsize=1)  # one instance's bases: 383 MB on Z3 2x2
+def _dense_bases(lattice, tensor, deformations) -> list[np.ndarray]:
+    twisted = twisted_states(lattice, tensor)
+    return [
+        ground_projector(lattice, twisted, deformations, t).basis
+        for t in range(lattice.n_vertices + 1)
+    ]
+
+
+def coefficients(basis: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """``basis^H vector``, conjugating the vector instead of the basis."""
+    return (vector.conj() @ basis).conj()
+
+
 def born_measure(
-    state: StateVector, projector: GroundProjector, rng: np.random.Generator
+    state: StateVector, basis: np.ndarray, rng: np.random.Generator
 ) -> MeasurementOutcome:
-    """Measure {P, 1-P} on a normalized dense state.
+    """Measure {P, 1-P} on a normalized dense state, for P with ``basis``.
 
     One uniform draw per call, the same ``PROB_EXACT_TOL`` forcing and the
     same reciprocal-norm scaling as the block-coordinate measurement; the
     input state is never written.
     """
-    if projector.dim != state.dim:
-        raise DimensionMismatch(f"projector dim {projector.dim} vs state dim {state.dim}")
-    coeff = projector.coefficients(state.amplitudes)
-    post = projector.basis @ coeff
+    coeff = coefficients(basis, state.amplitudes)
+    post = basis @ coeff
     p_inside = min(float(np.linalg.norm(coeff) ** 2), 1.0)
     draw = rng.random()
     if p_inside >= 1.0 - PROB_EXACT_TOL:
@@ -99,18 +122,18 @@ def block_monitor(prepared: PreparedProtocol, t: int, entering: StateVector):
     """Dense invariant checks: the state never leaves the principal blocks
     occupied by the entering state, and after a successful rewind its
     forward-success probability is at least the minimum occupied overlap."""
-    previous, target = prepared.projectors[t : t + 2]
+    previous, target = dense_bases(prepared.config)[t : t + 2]
     spectrum = prepared.spectra[t]
-    weights = spectrum.block_weights(previous.coefficients(entering.amplitudes))
+    weights = spectrum.block_weights(coefficients(previous, entering.amplitudes))
     occupied = weights > OCCUPATION_TOL
-    r_vectors = previous.basis @ spectrum.p_rotation[:, occupied]
-    q_vectors = target.basis @ spectrum.q_rotation[:, occupied]
+    r_vectors = previous @ spectrum.p_rotation[:, occupied]
+    q_vectors = target @ spectrum.q_rotation[:, occupied]
     # rank-revealing: d_k = 1 blocks are 1-dim
-    blocks = projector_from_columns(np.concatenate([r_vectors, q_vectors], axis=1))
+    blocks = projector_from_columns(np.concatenate([r_vectors, q_vectors], axis=1)).basis
     d_min_occ = spectrum.d_min_occupied(weights)
 
     def check(state: StateVector, forward_probability: float | None) -> None:
-        inside = blocks.basis @ blocks.coefficients(state.amplitudes)
+        inside = blocks @ coefficients(blocks, state.amplitudes)
         leak = float(np.linalg.norm(state.amplitudes - inside))
         if leak > CONTAINMENT_TOL:
             raise BoundViolation(f"state left its principal blocks (leak {leak:.3e})")
@@ -123,20 +146,21 @@ def block_monitor(prepared: PreparedProtocol, t: int, entering: StateVector):
     return check
 
 
-def _weight(projector: GroundProjector, state: StateVector) -> float:
-    """Squared norm of the component of ``state`` inside the projector."""
-    return float(np.linalg.norm(projector.coefficients(state.amplitudes)) ** 2)
+def _weight(basis: np.ndarray, state: StateVector) -> float:
+    """Squared norm of the component of ``state`` inside the span of ``basis``."""
+    return float(np.linalg.norm(coefficients(basis, state.amplitudes)) ** 2)
 
 
 def run_step(
     state: StateVector,
-    previous: GroundProjector,
-    target: GroundProjector,
+    previous: np.ndarray,
+    target: np.ndarray,
     m: int,
     rng: np.random.Generator,
     monitor=None,
 ) -> tuple[bool, list[int], int, StateVector]:
-    """One dense growth step: forward attempt, then rewind/forward pairs."""
+    """One dense growth step between the spans of two bases: forward
+    attempt, then rewind/forward pairs."""
     bits: list[int] = []
     outcome = born_measure(state, target, rng)
     bits.append(int(outcome.inside))
@@ -163,6 +187,7 @@ def run_protocol(prepared: PreparedProtocol, trial: int = 0) -> ProtocolTrace:
     """One dense trial from the contracted untwisted state; the dense
     monitor runs when the configuration checks invariants."""
     config = prepared.config
+    bases = dense_bases(config)
     rng = measurement_stream(config.seed, trial)
     state = initial_state(config)
     steps: list[StepRecord] = []
@@ -171,15 +196,15 @@ def run_protocol(prepared: PreparedProtocol, trial: int = 0) -> ProtocolTrace:
     for t in range(prepared.n_steps):
         monitor = block_monitor(prepared, t, state) if config.check_invariants else None
         success, bits, used, state = run_step(
-            state, *prepared.projectors[t : t + 2], prepared.m, rng, monitor=monitor
+            state, *bases[t : t + 2], prepared.m, rng, monitor=monitor
         )
         total += len(bits)
         steps.append(StepRecord(step=t + 1, bits=tuple(bits), forward_count=used, success=success))
         if not success:
             failed_step = t + 1
             break
-    coefficients = prepared.projectors[prepared.n_steps].coefficients(state.amplitudes)
-    fidelity = float(np.linalg.norm(coefficients) ** 2)
+    final = coefficients(bases[prepared.n_steps], state.amplitudes)
+    fidelity = float(np.linalg.norm(final) ** 2)
     success = failed_step is None
     if success and fidelity < 1.0 - SUCCESS_FIDELITY_TOL:
         raise BoundViolation(f"successful run ended outside the target space ({fidelity!r})")
@@ -192,7 +217,7 @@ def run_protocol(prepared: PreparedProtocol, trial: int = 0) -> ProtocolTrace:
         success=success,
         failed_step=failed_step,
         final_fidelity=fidelity,
-        final_block_weights=tuple(float(x) for x in np.abs(coefficients) ** 2),
+        final_block_weights=tuple(float(x) for x in np.abs(final) ** 2),
     )
 
 
@@ -231,7 +256,8 @@ def empirical_step_failures(
     ``STEP_STREAM_OFFSET + k``.
     """
     spectrum = prepared.spectra[step_index]
-    coordinates = prepared.projectors[step_index].coefficients(entering_state.amplitudes)
+    basis = dense_bases(prepared.config)[step_index]
+    coordinates = coefficients(basis, entering_state.amplitudes)
     inside = float(np.vdot(coordinates, coordinates).real)
     if inside < 1.0 - 1e-10:
         raise StateOutsideProjector(

@@ -67,9 +67,10 @@ def test_benchmark_hooks_install_run_uninstall(perfbench, tmp_path, capsys):
     assert len(builds) == 2  # one per command
 
     # the layer metrics attribute the kernels to their callers by parentage:
-    # every Born measurement of a trial sits under its run_protocol, a dense
-    # coefficients call only under a failed trial's (its final readout) or
-    # outside the trials, and every projector build inside the preparation
+    # every Born measurement of a trial sits under its run_protocol, and
+    # every projector build inside the preparation; no dense coefficients
+    # are read, and only the first failed trial re-contracts the twisted
+    # states, for the readout pass
     sweep_main = [s.id for s in tracer.spans if s.name == "cli.main"][1]
     simulate = [s for s in tracer.spans if s.id < sweep_main]
     by_id = {s.id: s for s in tracer.spans}
@@ -84,10 +85,12 @@ def test_benchmark_hooks_install_run_uninstall(perfbench, tmp_path, capsys):
         assert len(under_run) == trace["total_measurements"] > 0
     failed = {t["trial"] for t in traces if not t["success"]}
     assert failed and len(failed) < len(traces)  # both readouts
-    coefficients = [s for s in simulate if s.name == "lattice.GroundProjector.coefficients"]
-    in_trials = [s for s in coefficients if s.trial is not None]
+    assert not [s for s in simulate if s.name == "lattice.GroundProjector.coefficients"]
+    contractions = [s for s in simulate if s.name == "lattice.contract_isometric_state"]
+    in_trials = [s for s in contractions if s.trial is not None]
+    assert len(in_trials) == len(contractions) // 2 == 4  # one per commuting pair of Z2
     assert all(parent_name[s.id] == "protocol.run_protocol" for s in in_trials)
-    assert sorted(s.trial for s in in_trials) == sorted(failed)
+    assert {s.trial for s in in_trials} == {min(failed)}
     builds = [s for s in simulate if s.name == "lattice.projector_from_columns"]
     assert len(builds) == 3  # P_0, P_1, P_2 on the 2x1 torus
     assert all(parent_name[s.id] == "protocol.prepare_protocol" for s in builds)

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and reproducible outputs."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -205,10 +206,10 @@ def test_resource_cap_exit_3(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
-@pytest.mark.parametrize("cap", [8192, 32768], ids=["twisted-stack", "projector-pass"])
+@pytest.mark.parametrize("cap", [8192, 32767], ids=["twisted-stack", "projector-pass"])
 def test_resource_cap_counts_allocated_stacks_exit_3(tmp_path, capsys, monkeypatch, cap):
     # Z2 2x2: one state has 4096 amplitudes, the four twisted states 16384,
-    # and the two-step projector pass adds two bases
+    # and the projector pass adds its spare stack
     monkeypatch.setenv("GPEPS_MAX_AMPLITUDES", str(cap))
     cfg = _write(tmp_path, "o.json", {"group": "Z2", "lattice": {"width": 2, "height": 2}})
     code = main(["overlap", "--config", cfg, "--out", str(tmp_path)])
@@ -216,17 +217,19 @@ def test_resource_cap_counts_allocated_stacks_exit_3(tmp_path, capsys, monkeypat
     assert code == 3
 
 
-@pytest.mark.parametrize("cap,expected", [(49152, 0), (49151, 3)])
-def test_overlap_cap_is_the_stack_and_two_bases(tmp_path, capsys, monkeypatch, cap, expected):
-    # Z2 2x2: the pass holds the twisted stack (16384 amplitudes) and the
-    # bases of P_t and P_{t+1} (at most 16384 each), 49152 in all
+@pytest.mark.parametrize("command", ["overlap", "simulate"])
+@pytest.mark.parametrize("cap,expected", [(32768, 0), (32767, 3)])
+def test_projector_pass_cap_is_two_stacks(tmp_path, capsys, monkeypatch, command, cap, expected):
+    # Z2 2x2: the pass holds the twisted stack (16384 amplitudes) and one
+    # spare stack as large, 32768 in all; no basis is allocated
     monkeypatch.setenv("GPEPS_MAX_AMPLITUDES", str(cap))
-    cfg = _write(tmp_path, "o.json", {"group": "Z2", "lattice": {"width": 2, "height": 2}})
-    code = main(["overlap", "--config", cfg, "--out", str(tmp_path)])
+    cfg = _write(tmp_path, "o.json", {"group": "Z2", "lattice": {"width": 2, "height": 2},
+                                      **({"trials": 2} if command == "simulate" else {})})
+    code = main([command, "--config", cfg, "--out", str(tmp_path)])
     captured = capsys.readouterr()
     assert code == expected
     if expected:
-        assert "2 ground projectors needs 49152 amplitudes" in captured.err
+        assert "pass (two stacks) needs 32768 amplitudes" in captured.err
 
 
 @pytest.mark.parametrize("claimed", [1.0, 1e6])
@@ -249,18 +252,18 @@ def test_overlap_recomputes_kappa_of_a_deformation_file(tmp_path, capsys, claime
 
 
 def test_sweep_cap_counts_live_stacks_exit_3(tmp_path, capsys, monkeypatch):
-    # Z2 2x2: the twisted stack (16384 amplitudes), one ground_projector
-    # copy and the bases of P_t and P_{t+1} are live together, 65536 in all;
-    # each call alone counts only its own 32768
-    monkeypatch.setenv("GPEPS_MAX_AMPLITUDES", "49152")
+    # Z2 2x2: the twisted stack (16384 amplitudes) and the copies that P_t
+    # and P_{t+1} hold are live together, 49152 in all; each
+    # ground_projector call alone counts only its own copy
+    monkeypatch.setenv("GPEPS_MAX_AMPLITUDES", "49151")
     cfg = _write(tmp_path, "w.json", {"group": "Z2", "lattice": {"width": 2, "height": 2},
                                       "kappas": [2.0], "instances": 1})
     code = main(["sweep", "--config", cfg, "--out", str(tmp_path)])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert "needs 65536 amplitudes" in captured.err
-    assert captured.err.count("49152") == 1  # the cap is printed once
+    assert "needs 49152 amplitudes" in captured.err
+    assert captured.err.count("49151") == 1  # the cap is printed once
 
 
 def test_numerical_failure_exit_4(tmp_path, capsys, monkeypatch):
@@ -276,6 +279,24 @@ def test_numerical_failure_exit_4(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert captured.out == ""
     assert "numerical failure" in captured.err
+
+
+def test_overlap_out_of_range_exit_4(tmp_path, capsys, monkeypatch):
+    # an overlap above 1 can only come from a bug, so the failure law reports
+    # a bound violation (exit 4), not a config error
+    decompose = gpeps.protocol.jordan_decompose
+
+    def inflated(p, q):
+        spectrum = decompose(p, q)
+        return dataclasses.replace(spectrum, overlaps=spectrum.overlaps * 1.5)
+
+    monkeypatch.setattr(gpeps.protocol, "jordan_decompose", inflated)
+    cfg = _write(tmp_path, "s.json", {"group": "Z2", "lattice": {"width": 2, "height": 1},
+                                      "trials": 0})
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "overlaps must lie in [0, 1]" in captured.err
 
 
 @pytest.mark.parametrize("command", ["verify-group", "verify-appendix"])
@@ -375,6 +396,7 @@ BAD_CONFIGS = {
     "unknown-key-sweep": ("sweep", {"deformations": {"mode": "identity"}}),
     "unknown-key-verify-group": ("verify-group", {"lattice": {"width": 2, "height": 1}}),
     "unknown-key-verify-appendix": ("verify-appendix", {"seed": 1}),
+    "non-object-lattice": ("overlap", {"lattice": [2, 1]}),
 }
 
 
@@ -387,6 +409,31 @@ def test_bad_config_exit_2(tmp_path, capsys, command, doc):
     code = main([command, "--config", cfg, "--out", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+# a key that a nested object does not read: (command, nested object, the key)
+NESTED_UNKNOWN_KEYS = {
+    "lattice-overlap": ("overlap", {"lattice": {"width": 2, "height": 1, "hieght": 5}}, "hieght"),
+    "lattice-simulate": ("simulate", {"lattice": {"width": 2, "height": 1, "hieght": 5}}, "hieght"),
+    "lattice-sweep": ("sweep", {"lattice": {"width": 2, "height": 1, "hieght": 5}}, "hieght"),
+    "identity-deformations": (
+        "overlap", {"deformations": {"mode": "identity", "kappa": 8.0}}, "kappa"),
+    "random-deformations": ("overlap", {"deformations": {"mode": "random", "kapa": 8.0}}, "kapa"),
+    "file-deformations": (
+        "simulate", {"deformations": {"mode": "file", "path": "defs.json", "sed": 3}}, "sed"),
+}
+
+
+@pytest.mark.parametrize("command,doc,key", NESTED_UNKNOWN_KEYS.values(),
+                         ids=list(NESTED_UNKNOWN_KEYS))
+def test_unknown_nested_key_exit_2(tmp_path, capsys, command, doc, key):
+    # a misspelt nested key would silently take its default (kappa 2.0 for "kapa")
+    cfg = _write(tmp_path, "bad.json", {"group": "Z2", "lattice": {"width": 2, "height": 1}, **doc})
+    code = main([command, "--config", cfg, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"not ['{key}']" in captured.err
 
 
 @pytest.mark.parametrize("threads", ["0", "1", "3", "64"])

@@ -332,7 +332,7 @@ def test_ground_projectors_rejects_steps_out_of_range(z2, lat22, z2_twisted):
     ident = [gp.identity_deformation(z2[2], site=v) for v in range(4)]
     for steps in [(-1, 0), (4, 5)]:
         with pytest.raises(ValueError):
-            gp.ground_projectors(lat22, z2_twisted.copy(), ident, steps)
+            list(gp.ground_projectors(lat22, z2_twisted.copy(), ident, steps))
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +457,45 @@ def _peak_allocation(fn, *args):
         tracemalloc.stop()
 
 
-def test_projector_build_allocates_only_its_basis():
-    # one (200000, 9) stack as the pass hands it over: rows normalized in
-    # place, transposed into a column-major view
+def test_projector_build_allocates_no_basis():
+    # one (200000, 9) stack as the pass hands it over, transposed into a
+    # column-major view: the build and the decomposition allocate only
+    # m x m matrices and one Gram row block, never a basis
     rng = np.random.default_rng(5)
     rows = rng.normal(size=(9, 200_000)) + 1j * rng.normal(size=(9, 200_000))
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    basis_bytes = rows.nbytes  # full rank: the basis is as large as the stack
-    assert _peak_allocation(projector_from_columns, rows.T) <= basis_bytes + 2**20
+    assert _peak_allocation(projector_from_columns, rows.T) < 2**20
     p = projector_from_columns(rows.T)
     q = projector_from_columns(rows[::-1].T)
+    assert p.columns.base is rows  # held, not copied
     assert _peak_allocation(gp.jordan_decompose, p, q) < 2**20
+
+
+def test_prepare_protocol_allocates_two_stacks():
+    # Z2 3x2: the twisted stack and the pass's spare (16 MiB each), plus the
+    # two row-sized temporaries of one _apply_site (tensordot's transposed
+    # copy of the row and its product); no basis and no third stack
+    tensor = gp.build_site_tensor(gp.regular_rep(gp.build_group("Z2")))
+    lat = gp.TorusLattice.build(3, 2)
+    defs = tuple(gp.random_deformation(tensor, 8.0, seed=40 + v, site=v) for v in range(6))
+    config = gp.ProtocolConfig(lattice=lat, tensor=tensor, deformations=defs, epsilon=0.1)
+    row = 16 * tensor.sym_dim**lat.n_vertices
+    stack = len(tensor.rep.group.commuting_pairs()) * row
+    assert stack == 16 * 2**20
+    assert _peak_allocation(gp.prepare_protocol, config) <= 2 * stack + 2 * row + 2**20
+    # afterwards only P_N holds a stack, for failed-trial readouts
+    held = [p.columns is not None for p in gp.prepare_protocol(config).projectors]
+    assert held == [False] * 6 + [True]
+
+
+def test_pass_releases_each_stack_before_overwriting_it(z2, lat22, z2_twisted):
+    # after the pass only the last two projectors hold stacks, and those
+    # stacks still hold their own steps' columns bit for bit
+    _, _, tensor = z2
+    defs = [gp.random_deformation(tensor, 3.0, seed=90 + v, site=v) for v in range(4)]
+    projectors = list(gp.ground_projectors(lat22, z2_twisted.copy(), defs, range(5)))
+    assert [p.columns is None for p in projectors] == [True, True, True, False, False]
+    for projector in projectors[3:]:
+        chains = [_site_chain(lat22, row, defs, projector.step) for row in z2_twisted]
+        assert np.array_equal(projector.columns, np.array(chains).T)
+    with pytest.raises(RuntimeError, match="released"):
+        projectors[0].basis

@@ -28,7 +28,7 @@ from gpeps.protocol import (
 )
 from gpeps.spectral import JordanSpectrum, born_measure, jordan_decompose
 
-from dense_oracle import empirical_step_failures
+from dense_oracle import coefficients, dense_bases, empirical_step_failures
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +65,13 @@ def test_analytic_pfail_closed_form():
     assert analytic_pfail([0.5], [1.0], 1) == pytest.approx(0.5)  # 1 - d: one forward attempt
     with pytest.raises(UnnormalizedWeights):
         analytic_pfail([0.5, 0.5], [0.7, 0.7], 1)
+
+
+@pytest.mark.parametrize("overlap", [-0.1, 1.5])
+def test_analytic_pfail_overlap_out_of_range_is_a_bound_violation(overlap):
+    # overlaps are clamped squared singular values, so only a bug gives these
+    with pytest.raises(BoundViolation, match=r"\[0, 1\]"):
+        analytic_pfail([overlap], [1.0], 1)
 
 
 class _ScriptedDraws:
@@ -184,9 +191,10 @@ def test_protocol_replay_deterministic(z2_protocol):
 
 def test_trials_leave_initial_state_unchanged_in_any_order(z2_protocol):
     def snapshot():
+        final = z2_protocol.projectors[-1].columns.copy()
         return [y.copy() for y in z2_protocol.entering] + [
-            p.basis.copy() for p in z2_protocol.projectors
-        ]
+            p.transform.copy() for p in z2_protocol.projectors
+        ] + [final]
 
     before = snapshot()
     forward = [trace_to_dict(tr) for tr in _trials(z2_protocol, 30)]
@@ -275,27 +283,50 @@ def test_failure_curve_requires_state_in_ground_space(z2_protocol):
     rng = np.random.default_rng(1)
     dim = z2_protocol.projectors[0].dim
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    random_state = gp.StateVector(
-        lattice=z2_protocol.config.lattice, site_dim=8, amplitudes=vec / np.linalg.norm(vec)
-    )
-    p_0 = z2_protocol.projectors[0]
+    p_0 = dense_bases(z2_protocol.config)[0]
     with pytest.raises(StateOutsideProjector):
-        curve_from_spectrum(z2_protocol.spectra[0], p_0.coefficients(random_state.amplitudes))
+        curve_from_spectrum(z2_protocol.spectra[0], coefficients(p_0, vec / np.linalg.norm(vec)))
     # the canonical entering state of a later step lies outside P_0 too
     later = _dense_entering(z2_protocol, 2)
     with pytest.raises(StateOutsideProjector):
-        curve_from_spectrum(z2_protocol.spectra[0], p_0.coefficients(later.amplitudes))
+        curve_from_spectrum(z2_protocol.spectra[0], coefficients(p_0, later.amplitudes))
 
 
 def test_failure_curve_rejects_rank_drop(z2_protocol):
     # range(P_0) is only partly covered by the principal directions when the
     # next ground space has a smaller rank: a rank error, not an outside state
-    p_0 = z2_protocol.projectors[0]
+    p_0 = projector_from_columns(dense_bases(z2_protocol.config)[0], step=0)
     smaller = projector_from_columns(p_0.basis[:, :1], step=1)
     spectrum = jordan_decompose(p_0, smaller)
     assert (spectrum.rank_p, spectrum.rank_q) == (4, 1)
     with pytest.raises(BoundViolation, match="rank"):
         curve_from_spectrum(spectrum, z2_protocol.entering[0])
+
+
+def test_readout_pass_runs_once_after_the_first_failure(z2, lat22, z2_protocol, monkeypatch):
+    # the cross-Grams of failed readouts come from one more pass, which
+    # re-contracts the twisted states: never while every trial succeeds,
+    # then once per prepared protocol, at its first failed trial
+    contractions = []
+    contract = protocol.twisted_states
+    monkeypatch.setattr(protocol, "twisted_states",
+                        lambda *args: contractions.append(args) or contract(*args))
+    assert all(trace.success for trace in _trials(z2_protocol, 40))
+    assert contractions == []
+    _, _, tensor = z2
+    defs = tuple(gp.random_deformation(tensor, 8.0, seed=300 + v, site=v) for v in range(4))
+    failing = prepare_protocol(gp.ProtocolConfig(
+        lattice=lat22, tensor=tensor, deformations=defs, epsilon=0.1, m_policy=2, seed=1,
+    ))  # trial 0 succeeds, trial 1 fails
+    assert len(contractions) == 1  # the preparation's own contraction
+    successes, passes = [], []
+    for k in range(40):
+        successes.append(run_protocol(failing, trial=k).success)
+        passes.append(len(contractions) - 1)  # readout passes so far
+    first = successes.index(False)
+    assert first > 0
+    assert passes == [0] * first + [1] * (40 - first)
+    assert successes.count(False) > 1
 
 
 def test_failure_curve_below_bound(z2_protocol):
@@ -348,9 +379,10 @@ def z3_protocol(z3, lat22):
 def test_entering_coordinates_match_dense_oracle(name, request):
     prepared = request.getfixturevalue(name)
     assert len(prepared.entering) == prepared.n_steps
+    bases = dense_bases(prepared.config)
     for t, coordinates in enumerate(prepared.entering):
         p_t = prepared.projectors[t]
-        oracle = p_t.coefficients(_dense_entering(prepared, t).amplitudes)
+        oracle = coefficients(bases[t], _dense_entering(prepared, t).amplitudes)
         assert coordinates.shape == (p_t.rank,)
         assert np.abs(coordinates - oracle).max() < 1e-12, t
         spectrum = prepared.spectra[t]
@@ -364,7 +396,7 @@ def test_analytic_fail_matches_dense_law(name, request):
     prepared = request.getfixturevalue(name)
     rows = aggregate_step_stats(prepared, [])
     for t, row in enumerate(rows):
-        r_vectors = prepared.projectors[t].basis @ prepared.spectra[t].p_rotation
+        r_vectors = dense_bases(prepared.config)[t] @ prepared.spectra[t].p_rotation
         entering = _dense_entering(prepared, t).amplitudes
         weights = np.abs(r_vectors.conj().T @ entering) ** 2
         dense = analytic_pfail(prepared.spectra[t].overlaps, weights, prepared.m)

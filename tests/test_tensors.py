@@ -1,9 +1,12 @@
 """Site tensors, deformations and the regrouping equivalence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import gpeps as gp
+from gpeps import tensors
 from gpeps.caps import ENV_VAR
 from gpeps.errors import (
     BoundViolation, DimensionMismatch, DimensionOverflow, InvalidKappa, SingularOnSymmetric,
@@ -187,6 +190,27 @@ def test_complex_reps_build_bit_for_bit_as_oracle(name, mults, monkeypatch):
     _, basis, compressed = _complex_build_oracle(rep)
     assert np.array_equal(st.sym_basis, basis)
     assert np.array_equal(st.compressed_map, compressed)
+
+
+@pytest.mark.parametrize(
+    "group,multiplicities",
+    [("S3", None), ("Z3", {"trivial": 2, "chi1": 2, "chi2": 2})],
+    ids=["s3-regular-real", "z3-semi-regular-complex"],
+)
+def test_site_tensor_peak_is_within_its_count(monkeypatch, group, multiplicities):
+    # everything numpy allocates during the build fits in the amplitudes
+    # counted against the cap (16 bytes each); the S3 map alone is 12.8 MiB
+    rep = gp.semi_regular_rep(gp.build_group(group), multiplicities)
+    counted = []
+    monkeypatch.setattr(tensors, "check_amplitudes", lambda count, what: counted.append(count))
+    tracemalloc.start()
+    try:
+        gp.build_site_tensor(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.total_dim == 6 and len(counted) == 1
+    assert peak <= 16 * counted[0]
 
 
 def test_d4_weighted_unitaries_are_real():
