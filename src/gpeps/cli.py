@@ -361,6 +361,7 @@ def cmd_simulate(cfg: dict, args) -> int:
         "success_fraction": n_success / trials if trials else 0.0,
         "target": 1.0 - epsilon,
         "kappa_max": prepared.kappa_max,
+        "ranks": [projector.rank for projector in prepared.projectors],
         "traces": str(out / "traces.jsonl"),
         "aggregate": str(out / "aggregate.csv"),
         "pass": True,

@@ -264,11 +264,19 @@ def twisted_states(lattice: TorusLattice, tensor: SiteTensor) -> np.ndarray:
     return columns
 
 
-def _apply_site(arr: np.ndarray, n_sites: int, site: int, matrix: np.ndarray) -> np.ndarray:
-    """The per-column step: ``matrix`` on one site of a site-major vector."""
-    shaped = arr.reshape((matrix.shape[1],) * n_sites)
-    out = np.tensordot(matrix, shaped, axes=([1], [site]))
-    return np.moveaxis(out, 0, site).reshape(-1)
+def _apply_site(
+    x: np.ndarray, n_sites: int, site: int, matrix: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The per-column step: ``matrix`` on one site of a site-major vector, one
+    matmul over its ``(left, d, right)`` view into ``out`` (allocated when None;
+    if ``out`` is ``x``, numpy buffers that row).  ``out`` must be contiguous."""
+    d = matrix.shape[1]
+    out = np.empty(x.shape, np.result_type(matrix, x)) if out is None else out
+    target = out.reshape(d**site, d, d ** (n_sites - 1 - site))
+    if not np.shares_memory(target, out):  # a reshape copy would take the product
+        raise ValueError("_apply_site needs a contiguous out")
+    np.matmul(matrix, x.reshape(target.shape), out=target)
+    return out
 
 
 def _normalized(arr: np.ndarray, t: int) -> np.ndarray:
@@ -295,9 +303,9 @@ def partial_peps_state(
         t = len(deformations)
     if not 0 <= t <= lattice.n_vertices:
         raise ValueError(f"t = {t} outside [0, {lattice.n_vertices}]")
-    arr = base_state.amplitudes
+    arr = base_state.amplitudes.copy()
     for v in range(t):
-        arr = _apply_site(arr, lattice.n_vertices, v, deformations[v].matrix)
+        _apply_site(arr, lattice.n_vertices, v, deformations[v].matrix, arr)
     return StateVector(
         lattice=lattice, site_dim=base_state.site_dim, amplitudes=_normalized(arr, t)
     )
@@ -311,18 +319,18 @@ def twisted_stacks(
     spare: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """Yield ``X_0 = columns`` (rows of :func:`twisted_states`) and then
-    ``X_{t+1} = M_t X_t`` up to ``X_last``, advancing every row in place, or
-    with ``spare`` into the buffer of ``X_{t-1}``, so that ``X_t`` stays
-    valid next to ``X_{t+1}``.  Each row equals the unnormalized
-    ``_apply_site`` chain of its twisted state bit for bit
-    (:func:`partial_peps_state` is that chain, normalized).
+    ``X_{t+1} = M_t X_t`` up to ``X_last``, one ``_apply_site`` matmul per
+    row: in place (numpy buffers one row), or with ``spare`` straight into
+    the buffer of ``X_{t-1}``, so that ``X_t`` stays valid next to
+    ``X_{t+1}``.  Each row equals the unnormalized ``_apply_site`` chain of
+    its twisted state bit for bit (:func:`partial_peps_state`, normalized).
     """
     target = columns if spare is None else spare
     for t in range(last + 1):
         if t:
             matrix = deformations[t - 1].matrix
             for k in range(len(columns)):
-                target[k] = _apply_site(columns[k], lattice.n_vertices, t - 1, matrix)
+                _apply_site(columns[k], lattice.n_vertices, t - 1, matrix, target[k])
             columns, target = target, columns
         yield columns
 
@@ -365,8 +373,9 @@ def ground_projector(
     deformations: Sequence[Deformation],
     t: int,
 ) -> GroundProjector:
-    """``P_t`` alone, on a copy of ``twisted`` advanced in place; the
-    projector holds the copy.  The amplitude cap counts the copy."""
+    """``P_t`` alone, on a copy of ``twisted`` advanced in place (numpy
+    buffers one row per step); the projector holds the copy, which the
+    amplitude cap counts."""
     if not 0 <= t <= lattice.n_vertices:
         raise ValueError(f"t = {t} outside [0, {lattice.n_vertices}]")
     check_amplitudes(twisted.size, "ground projector (a copy of the twisted stack)")

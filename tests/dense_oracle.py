@@ -10,7 +10,8 @@ blocks occupied on entry.  The package runs the same trials in
 Jordan-block coordinates; these functions give the reference bits,
 measurement counts, fidelities and block weights they must reproduce.
 
-Two helpers that only tests need live here too: :func:`decompress_state`
+Three helpers that only tests need live here too: :func:`apply_site` is
+the tensordot form of the package's per-column step, :func:`decompress_state`
 embeds a compressed state into the ambient virtual-leg space, and
 :func:`empirical_step_failures` runs Monte Carlo chains of one isolated
 step.
@@ -219,6 +220,14 @@ def run_protocol(prepared: PreparedProtocol, trial: int = 0) -> ProtocolTrace:
         final_fidelity=fidelity,
         final_block_weights=tuple(float(x) for x in np.abs(final) ** 2),
     )
+
+
+def apply_site(arr: np.ndarray, n_sites: int, site: int, matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` on one site of a site-major vector by ``tensordot`` and
+    ``moveaxis``: the oracle of :func:`gpeps.lattice._apply_site`."""
+    shaped = arr.reshape((matrix.shape[1],) * n_sites)
+    out = np.tensordot(matrix, shaped, axes=([1], [site]))
+    return np.moveaxis(out, 0, site).reshape(-1)
 
 
 def decompress_state(state: StateVector, tensor: SiteTensor) -> np.ndarray:

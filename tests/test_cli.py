@@ -141,6 +141,20 @@ def test_simulate_outputs_and_determinism(tmp_path, capsys):
     assert (out1 / "aggregate.csv").read_bytes() == (out2 / "aggregate.csv").read_bytes()
 
 
+@pytest.mark.parametrize("group,height,ranks", [("Z3", 2, [9] * 5), ("S3", 1, [8] * 3)])
+def test_simulate_reports_ranks(tmp_path, capsys, group, height, ranks):
+    # every ground space has the quantum-double anyon count as its rank
+    cfg = _write(tmp_path, "s.json", {
+        "group": group,
+        "lattice": {"width": 2, "height": height},
+        "deformations": {"mode": "random", "kappa": 2.0, "seed": 40},
+        "trials": 2,
+    })
+    code, payload = _run(capsys, ["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert payload["report"]["ranks"] == ranks
+
+
 def test_simulate_threads_match_serial(tmp_path, capsys):
     cfg = _write(
         tmp_path, "s.json",

@@ -23,7 +23,7 @@ from gpeps.lattice import (
 from gpeps.tensors import _eq2_matrix
 
 from conftest import stack_columns
-from dense_oracle import decompress_state
+from dense_oracle import apply_site, decompress_state
 
 
 @pytest.mark.parametrize("w,h", [(1, 1), (2, 2), (3, 2), (1, 3)])
@@ -309,6 +309,57 @@ def _site_chain(lat, row, defs, t):
     return row
 
 
+def _relative_error(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("n_sites,d", [(3, 5), (4, 4)])
+def test_apply_site_matches_tensordot_oracle(n_sites, d):
+    # on every site, into a fresh vector or in place, bit for bit between the two
+    rng = np.random.default_rng(n_sites)
+    matrix = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    x = rng.normal(size=d**n_sites) + 1j * rng.normal(size=d**n_sites)
+    for site in range(n_sites):
+        moved = lattice._apply_site(x, n_sites, site, matrix)
+        assert _relative_error(moved, apply_site(x, n_sites, site, matrix)) <= 1e-13
+        in_place = x.copy()
+        assert lattice._apply_site(in_place, n_sites, site, matrix, in_place) is in_place
+        assert np.array_equal(in_place, moved)
+
+
+@pytest.mark.parametrize("name,width,height", [("Z2", 3, 2), ("Z3", 2, 2), ("S3", 2, 1)])
+def test_apply_site_matches_tensordot_oracle_on_twisted_rows(name, width, height):
+    tensor = gp.build_site_tensor(gp.regular_rep(gp.build_group(name)))
+    lat = gp.TorusLattice.build(width, height)
+    rows = gp.twisted_states(lat, tensor)
+    n = lat.n_vertices
+    for v in range(n):
+        matrix = gp.random_deformation(tensor, 2.0, seed=30 + v, site=v).matrix
+        for row in (rows[0], rows[-1]):  # the untwisted row and the last twist
+            moved = lattice._apply_site(row, n, v, matrix)
+            assert _relative_error(moved, apply_site(row, n, v, matrix)) <= 1e-13, v
+            in_place = row.copy()
+            lattice._apply_site(in_place, n, v, matrix, in_place)
+            assert np.array_equal(in_place, moved)
+
+
+def test_apply_site_rejects_an_out_it_cannot_view():
+    # a column-major out reshapes only into a copy, which would be written instead
+    x = np.arange(27.0).reshape(3, 9)
+    out = np.empty((3, 9), order="F")
+    with pytest.raises(ValueError, match="contiguous"):
+        lattice._apply_site(x, 3, 2, np.eye(3), out)
+
+
+def test_twisted_stacks_in_place_equals_spare(z2, lat22, z2_twisted):
+    _, _, tensor = z2
+    defs = [gp.random_deformation(tensor, 3.0, seed=90 + v, site=v) for v in range(4)]
+    in_place = [s.copy() for s in lattice.twisted_stacks(lat22, z2_twisted.copy(), defs, 4)]
+    spare = lattice.twisted_stacks(lat22, z2_twisted.copy(), defs, 4, np.empty_like(z2_twisted))
+    for a, b in itertools.zip_longest(in_place, spare):
+        assert np.array_equal(a, b)
+
+
 def test_one_pass_projectors_match_from_scratch_bit_for_bit(z2, lat22, z2_twisted):
     # the incremental pass must reproduce the from-scratch columns exactly,
     # so that traces replay bit for bit; partial_peps_state is the same
@@ -471,17 +522,16 @@ def test_projector_build_allocates_no_basis():
 
 
 def test_prepare_protocol_allocates_two_stacks():
-    # Z2 3x2: the twisted stack and the pass's spare (16 MiB each), plus the
-    # two row-sized temporaries of one _apply_site (tensordot's transposed
-    # copy of the row and its product); no basis and no third stack
+    # Z2 3x2: the twisted stack and the pass's spare (16 MiB each); every
+    # row step writes into the spare row, so no row-sized temporary, no
+    # basis and no third stack
     tensor = gp.build_site_tensor(gp.regular_rep(gp.build_group("Z2")))
     lat = gp.TorusLattice.build(3, 2)
     defs = tuple(gp.random_deformation(tensor, 8.0, seed=40 + v, site=v) for v in range(6))
     config = gp.ProtocolConfig(lattice=lat, tensor=tensor, deformations=defs, epsilon=0.1)
-    row = 16 * tensor.sym_dim**lat.n_vertices
-    stack = len(tensor.rep.group.commuting_pairs()) * row
+    stack = len(tensor.rep.group.commuting_pairs()) * 16 * tensor.sym_dim**lat.n_vertices
     assert stack == 16 * 2**20
-    assert _peak_allocation(gp.prepare_protocol, config) <= 2 * stack + 2 * row + 2**20
+    assert _peak_allocation(gp.prepare_protocol, config) <= 2 * stack + 2**20
     # afterwards only P_N holds a stack, for failed-trial readouts
     held = [p.columns is not None for p in gp.prepare_protocol(config).projectors]
     assert held == [False] * 6 + [True]
